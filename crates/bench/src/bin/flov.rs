@@ -33,25 +33,25 @@ flov — FLOV reproduction experiment runner
 usage: flov <subcommand> [options]
 
 paper figures and tables:
-  fig6        Uniform Random latency/power sweep       (was: fig6)
-  fig7        Tornado latency/power sweep              (was: fig7)
-  fig8ab      latency breakdown, UR + Tornado          (was: fig8ab)
-  fig8cd      PARSEC full-system + headline summary    (was: fig8cd)
-  fig9        static power vs gated fraction           (was: fig9)
-  fig10       reconfiguration timeline                 (was: fig10)
-  table1      testbed parameters                       (was: table1)
-  overhead    router area/overhead analysis            (was: overhead)
+  fig6        Uniform Random latency/power sweep
+  fig7        Tornado latency/power sweep
+  fig8ab      latency breakdown, UR + Tornado
+  fig8cd      PARSEC full-system + headline summary
+  fig9        static power vs gated fraction
+  fig10       reconfiguration timeline
+  table1      testbed parameters
+  overhead    router area/overhead analysis
 
 studies:
-  ablations   design-choice sensitivity sweeps         (was: ablations)
-  nord        NoRD vs FLOV critique, 2 experiments     (was: nord)
-  related     six-mechanism landscape                  (was: related)
-  scaling     4x4..16x16 mesh scaling                  (was: scaling)
+  ablations   design-choice sensitivity sweeps
+  nord        NoRD vs FLOV critique, 2 experiments
+  related     six-mechanism landscape
+  scaling     4x4..16x16 mesh scaling
 
 tools:
   parsec      selectable PARSEC subset
               [--bench NAME]... [--mech NAME]... [--seed S]
-  sim         one-off simulation with a full report    (was: flov-sim)
+  sim         one-off simulation with a full report
               [--mech M] [--pattern P] [--rate R] [--gated F] [--cycles N]
               [--warmup N] [--seed S] [--k K] [--parsec BENCH] [--json] [--map]
               [--audit] [--topology mesh|torus|cmesh:C|rect:KXxKY]

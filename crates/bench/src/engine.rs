@@ -88,6 +88,37 @@ fn arbitrate(requested: KernelMode, live: usize, workers: usize) -> KernelMode {
     }
 }
 
+/// Engine-line name of the kernel a run actually ran on a `kx × ky`
+/// fabric: `active-set`, `reference`, or `parallel RxC` with the planned
+/// tile grid.
+fn kernel_label(kernel: KernelMode, kx: u16, ky: u16) -> String {
+    match kernel.planned_grid(kx, ky) {
+        Some((r, c)) => format!("parallel {r}x{c}"),
+        None if kernel == KernelMode::Reference => "reference".to_string(),
+        None => "active-set".to_string(),
+    }
+}
+
+/// The engine line's trailing kernel field: how many simulated runs ran
+/// on each kernel after arbitration, plus the parallel request when there
+/// was one — e.g. `, kernels: 1 active-set (parallel 2 requested)` for a
+/// one-spec batch whose request was demoted. Empty when nothing ran.
+fn kernels_note(requested: KernelMode, ran: &[String]) -> String {
+    if ran.is_empty() {
+        return String::new();
+    }
+    let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
+    for label in ran {
+        *counts.entry(label).or_default() += 1;
+    }
+    let kernels: Vec<String> = counts.iter().map(|(k, n)| format!("{n} {k}")).collect();
+    let request = match requested {
+        KernelMode::Parallel { tiles, .. } => format!(" (parallel {tiles} requested)"),
+        _ => String::new(),
+    };
+    format!(", kernels: {}{request}", kernels.join(", "))
+}
+
 /// See the module docs. Construct with [`Engine::new`] (caching, default
 /// directory), [`Engine::with_cache_dir`], [`Engine::with_cache`], or
 /// [`Engine::without_cache`].
@@ -252,6 +283,7 @@ impl Engine {
             let i = uniques[misses[j]];
             let kernel = arbitrate(requested_kernel, ctx.live_jobs(), ctx.workers);
             let result = crate::run_kernel(&resolved[i], kernel);
+            let label = kernel_label(kernel, resolved[i].cfg.kx(), resolved[i].cfg.ky());
             if let Some(cache) = &self.cache {
                 let entry = CacheEntry {
                     kernel_version: self.kernel_version,
@@ -263,14 +295,16 @@ impl Engine {
                 }
             }
             progress.tick(false);
-            result
+            (result, label)
         });
         if !misses.is_empty() {
             *self.last_sched.lock().expect("sched stats lock") = Some(sched);
         }
-        let sim_cycles: u64 = computed.iter().map(|r| r.runtime_cycles).sum();
-        for (&slot, result) in misses.iter().zip(computed) {
+        let sim_cycles: u64 = computed.iter().map(|(r, _)| r.runtime_cycles).sum();
+        let mut ran = Vec::with_capacity(computed.len());
+        for (&slot, (result, label)) in misses.iter().zip(computed) {
             slots[slot] = Some(result);
+            ran.push(label);
         }
         progress.clear_line();
 
@@ -282,25 +316,6 @@ impl Engine {
             // Keep this line's shape stable: CI greps it to assert hit
             // rates. New fields go at the end, after the grepped ones.
             let wall = batch_start.elapsed().as_secs_f64();
-            // Under the parallel kernel, report the effective tile
-            // geometry (requested vs planned) instead of clamping
-            // silently; batches can mix topologies, hence the set.
-            let geometry = match requested_kernel {
-                KernelMode::Parallel { tiles, .. } if !uniques.is_empty() => {
-                    let mut geoms: Vec<String> = uniques
-                        .iter()
-                        .filter_map(|&i| {
-                            let cfg = &resolved[i].cfg;
-                            requested_kernel.planned_grid(cfg.kx(), cfg.ky())
-                        })
-                        .map(|(r, c)| format!("{r}x{c}"))
-                        .collect();
-                    geoms.sort();
-                    geoms.dedup();
-                    format!(", parallel tiles {} ({tiles} requested)", geoms.join("|"))
-                }
-                _ => String::new(),
-            };
             let sched_note = if misses.is_empty() {
                 String::new()
             } else {
@@ -313,12 +328,13 @@ impl Engine {
             };
             eprintln!(
                 "[flov] engine: {} specs ({} unique): {} cached, {} simulated, \
-                 {wall:.1}s wall, {:.0} sim-cycles/sec{geometry}{sched_note}",
+                 {wall:.1}s wall, {:.0} sim-cycles/sec{sched_note}{}",
                 specs.len(),
                 uniques.len(),
                 n_cached,
                 misses.len(),
                 if wall > 0.0 { sim_cycles as f64 / wall } else { 0.0 },
+                kernels_note(requested_kernel, &ran),
             );
         }
 
@@ -419,6 +435,31 @@ mod tests {
         // Non-parallel kernels pass through untouched.
         assert_eq!(arbitrate(KernelMode::ActiveSet, 1, 8), KernelMode::ActiveSet);
         assert_eq!(arbitrate(KernelMode::Reference, 1, 8), KernelMode::Reference);
+    }
+
+    #[test]
+    fn engine_line_reports_the_kernel_each_run_got() {
+        // `flov sim --threads 2` is a one-spec batch: one live job on
+        // `workers_for(1) == 1` worker, so the parallel request is demoted
+        // and the line must say the run went sequential.
+        let req = KernelMode::Parallel { tiles: 2, grid: None };
+        let ran = [kernel_label(arbitrate(req, 1, 1), 32, 32)];
+        assert_eq!(kernels_note(req, &ran), ", kernels: 1 active-set (parallel 2 requested)");
+        // A granted run names its tile grid; counts are per kernel.
+        let ran = [
+            kernel_label(arbitrate(req, 1, 4), 32, 32),
+            kernel_label(arbitrate(req, 4, 4), 8, 8),
+            kernel_label(arbitrate(req, 4, 4), 8, 8),
+        ];
+        assert_eq!(
+            kernels_note(req, &ran),
+            ", kernels: 2 active-set, 1 parallel 2x1 (parallel 2 requested)"
+        );
+        // Without a parallel request the field still names the kernel;
+        // with nothing simulated it is absent.
+        let ran = [kernel_label(KernelMode::Reference, 8, 8)];
+        assert_eq!(kernels_note(KernelMode::Reference, &ran), ", kernels: 1 reference");
+        assert_eq!(kernels_note(req, &[]), "");
     }
 
     #[test]

@@ -314,6 +314,33 @@ fn parallel_kernel_matches_active_set_on_2d_tile_geometries() {
     assert!(failures.is_empty(), "2-D geometry failures:\n{}", failures.join("\n"));
 }
 
+/// NoRD beyond 256 routers: the ring exit stamp is a full node id, so a
+/// 32×32 ring (exit nodes up to 1023) carries traffic, delivers every
+/// packet, and stays bit-identical between the sequential kernels.
+#[test]
+fn nord_on_a_32x32_mesh_matches_between_kernels() {
+    let s = RunSpec::builder()
+        .mechanism("NoRD")
+        .topology(TopologySpec::Mesh { k: 32 })
+        .pattern(Pattern::UniformRandom)
+        .rate(0.02)
+        .gated_fraction(0.5)
+        .seed(0xF10F)
+        .warmup(200)
+        .cycles(600)
+        .drain(25_000)
+        .build();
+    let active = run_kernel(&s, KernelMode::ActiveSet);
+    let reference = run_kernel(&s, KernelMode::Reference);
+    assert!(active.ring_flits > 0, "no traffic rode the 1024-node ring");
+    assert!(active.delivered_all, "NoRD 32x32 left packets in flight");
+    assert_eq!(
+        serde_json::to_string(&active).expect("serialize active result"),
+        serde_json::to_string(&reference).expect("serialize reference result"),
+        "NoRD 32x32: active-set and reference kernels diverged"
+    );
+}
+
 /// One end-state digest plus the skip counter for the low-rate rows, which
 /// need `cycles_skipped` — deliberately *not* part of `RunResult` (it
 /// would break the bit-identity the matrix above asserts).

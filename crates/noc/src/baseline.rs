@@ -40,9 +40,9 @@ impl PowerMechanism for AlwaysOnYx {
 
     fn audit_state(&self, core: &NetworkCore, report: &mut dyn FnMut(String)) {
         // The baseline never gates: every router must stay Active.
-        for (i, r) in core.routers.iter().enumerate() {
-            if r.power != crate::types::PowerState::Active {
-                report(format!("Baseline router {i} is {:?}; the baseline never gates", r.power));
+        for (i, &p) in core.powers().iter().enumerate() {
+            if p != crate::types::PowerState::Active {
+                report(format!("Baseline router {i} is {p:?}; the baseline never gates"));
             }
         }
     }

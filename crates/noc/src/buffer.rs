@@ -155,6 +155,7 @@ mod tests {
             dst: 1,
             vnet: 0,
             vc: 0,
+            ring_exit: 0,
             escape: false,
             flit_idx: i,
             pkt_len: 8,

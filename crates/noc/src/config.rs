@@ -35,8 +35,6 @@ pub enum ConfigError {
     /// NoRD enabled on a topology with no Hamiltonian cycle over its
     /// routers — the paper's §II critique (e.g. an odd-radix mesh).
     RingUnsupported { topology: String },
-    /// The ring exit is stamped into the 8-bit flit VC field.
-    RingTooLarge { nodes: usize },
     /// Ring-to-mesh transfers reserve the last regular VC.
     RingNeedsTransferVc,
     /// Wrap-minimal torus routing relies on the escape sub-network for
@@ -78,9 +76,6 @@ impl fmt::Display for ConfigError {
                  routers; {topology} has none (an even mesh radix, one even rectangle side, \
                  or any torus works)"
             ),
-            ConfigError::RingTooLarge { nodes } => {
-                write!(f, "ring exit stamping supports at most 256 nodes (got {nodes})")
-            }
             ConfigError::RingNeedsTransferVc => {
                 write!(f, "the ring transfer path reserves one regular VC (need at least 2)")
             }
@@ -145,8 +140,8 @@ pub struct NocConfig {
     /// ring over all routers that keeps gated nodes reachable without FLOV
     /// links. Requires a topology admitting a Hamiltonian cycle (the
     /// paper's critique of NoRD: a square mesh needs even `k`; a torus or
-    /// concentration lifts the restriction), at most 256 routers, and at
-    /// least two regular VCs (ring-to-mesh transfers reserve the last one).
+    /// concentration lifts the restriction) and at least two regular VCs
+    /// (ring-to-mesh transfers reserve the last one).
     pub enable_ring: bool,
     /// Seed for all simulation-internal randomness (arbitration tie-breaks
     /// are deterministic; this seeds workload-facing RNG forks).
@@ -372,9 +367,6 @@ impl NocConfig {
             if !spec.admits_ring() {
                 return Err(ConfigError::RingUnsupported { topology: spec.label() });
             }
-            if spec.routers() > 256 {
-                return Err(ConfigError::RingTooLarge { nodes: spec.routers() });
-            }
             if self.regular_vcs < 2 {
                 return Err(ConfigError::RingNeedsTransferVc);
             }
@@ -468,11 +460,12 @@ mod tests {
             ..NocConfig::default()
         };
         assert!(matches!(rect_bad.validate(), Err(ConfigError::RingUnsupported { .. })));
-        // Ring transfer VC and exit-stamping limits.
+        // Ring transfer VC limit; ring size is unbounded (the exit stamp is
+        // a full node id).
         let one_vc = NocConfig { k: 4, enable_ring: true, regular_vcs: 1, ..NocConfig::default() };
         assert_eq!(one_vc.validate(), Err(ConfigError::RingNeedsTransferVc));
         let huge = NocConfig { k: 18, enable_ring: true, ..NocConfig::default() };
-        assert_eq!(huge.validate(), Err(ConfigError::RingTooLarge { nodes: 324 }));
+        assert_eq!(huge.validate(), Ok(()));
     }
 
     #[test]

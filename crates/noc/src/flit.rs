@@ -65,6 +65,10 @@ pub struct Flit {
     /// buffer it is currently heading to. Set at injection and re-set at
     /// each VC allocation.
     pub vc: u8,
+    /// NoRD ring exit node, stamped at ring ingress: where the flit leaves
+    /// the bypass ring (its destination NIC, or the powered node where it
+    /// re-enters the mesh). Unused off the ring.
+    pub ring_exit: NodeId,
     /// True once the packet has been diverted into the escape sub-network;
     /// it then stays in escape VCs until ejection.
     pub escape: bool,
@@ -148,7 +152,8 @@ mod tests {
 
     #[test]
     fn flit_is_small() {
-        // Flits are copied by value every cycle; keep them compact.
-        assert!(std::mem::size_of::<Flit>() <= 64);
+        // Flits are copied by value every cycle; keep them compact. The
+        // ring exit stamp fills padding: still 56 bytes.
+        assert_eq!(std::mem::size_of::<Flit>(), 56);
     }
 }

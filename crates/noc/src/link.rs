@@ -148,6 +148,7 @@ mod tests {
             dst: 3,
             vnet: 0,
             vc: 1,
+            ring_exit: 0,
             escape: false,
             flit_idx: idx,
             pkt_len: 4,

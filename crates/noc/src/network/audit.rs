@@ -47,7 +47,7 @@
 
 use super::NetworkCore;
 use crate::traits::PowerMechanism;
-use crate::types::{Cycle, Dir, Port};
+use crate::types::{Cycle, Dir, NodeId, Port};
 
 /// Default audit cadence, in cycles. At this interval the audit cost is
 /// amortized to a few chain walks per simulated cycle — well under the
@@ -248,7 +248,8 @@ impl Auditor {
 
     fn check_gated_residency(&mut self, core: &NetworkCore) {
         for (i, r) in core.routers.iter().enumerate() {
-            if !r.power.is_flov() {
+            let power = core.power(i as NodeId);
+            if !power.is_flov() {
                 continue;
             }
             if r.buffered_flits() != 0 || !r.is_drained() {
@@ -258,7 +259,7 @@ impl Auditor {
                     format!(
                         "router {i} is {:?} with {} buffered flit(s) (drained: {}) — gated \
                          routers may hold flits only in FLOV latches",
-                        r.power,
+                        power,
                         r.buffered_flits(),
                         r.is_drained()
                     ),
@@ -468,7 +469,7 @@ impl Auditor {
                         core.in_flight_packets,
                         core.flits_in_network(),
                         stuck.join(", "),
-                        core.routers.iter().map(|r| r.power).collect::<Vec<_>>()
+                        core.powers()
                     ),
                 );
             }

@@ -244,8 +244,8 @@ mod tests {
     #[test]
     fn walk_over_sleepers() {
         let mut c = core();
-        c.routers[id(1, 1) as usize].power = PowerState::Sleep;
-        c.routers[id(2, 1) as usize].power = PowerState::Sleep;
+        c.powers[id(1, 1) as usize] = PowerState::Sleep;
+        c.powers[id(2, 1) as usize] = PowerState::Sleep;
         let t = c.chain_walk(id(0, 1), Dir::East, id(3, 3));
         assert_eq!(t.powered, Some(id(3, 1)));
         assert_eq!(t.sleepers, 2);
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn walk_blocked_by_draining() {
         let mut c = core();
-        c.routers[id(1, 0) as usize].power = PowerState::Draining;
+        c.powers[id(1, 0) as usize] = PowerState::Draining;
         let t = c.chain_walk(id(0, 0), Dir::East, id(3, 0));
         assert_eq!(t.powered, Some(id(1, 0)));
         assert!(t.blocked);
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn walk_blocked_by_wakeup() {
         let mut c = core();
-        c.routers[id(1, 0) as usize].power = PowerState::Wakeup;
+        c.powers[id(1, 0) as usize] = PowerState::Wakeup;
         let t = c.chain_walk(id(0, 0), Dir::East, id(3, 0));
         assert_eq!(t.powered, None);
         assert!(t.blocked);
@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn sleeping_destination_detected() {
         let mut c = core();
-        c.routers[id(1, 2) as usize].power = PowerState::Sleep;
-        c.routers[id(2, 2) as usize].power = PowerState::Sleep;
+        c.powers[id(1, 2) as usize] = PowerState::Sleep;
+        c.powers[id(2, 2) as usize] = PowerState::Sleep;
         let t = c.chain_walk(id(0, 2), Dir::East, id(2, 2));
         assert_eq!(t.dst_on_chain, Some(id(2, 2)));
         assert!(t.blocked);
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn walk_dead_ends_at_edge() {
         let mut c = core();
-        c.routers[id(0, 1) as usize].power = PowerState::Sleep;
+        c.powers[id(0, 1) as usize] = PowerState::Sleep;
         let t = c.chain_walk(id(1, 1), Dir::West, id(3, 3));
         assert_eq!(t.powered, None);
         assert!(!t.blocked);
@@ -293,8 +293,8 @@ mod tests {
     #[test]
     fn logical_neighbor_skips_sleepers_only() {
         let mut c = core();
-        c.routers[id(1, 1) as usize].power = PowerState::Sleep;
-        c.routers[id(2, 1) as usize].power = PowerState::Draining;
+        c.powers[id(1, 1) as usize] = PowerState::Sleep;
+        c.powers[id(2, 1) as usize] = PowerState::Draining;
         assert_eq!(c.logical_neighbor(id(0, 1), Dir::East), Some((id(2, 1), 1)));
         assert_eq!(c.logical_neighbor(id(3, 1), Dir::East), None);
     }
@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn audit_credits_subtracts_in_flight_flits_over_sleeper() {
         let mut c = core();
-        c.routers[id(1, 0) as usize].power = PowerState::Sleep;
+        c.powers[id(1, 0) as usize] = PowerState::Sleep;
         // Flit in flight on the 0->1 hop, headed for owner (2,0), vc 0.
         let e = id(0, 0) as usize * 4 + Dir::East.index();
         let p = crate::packet::Packet {

@@ -38,7 +38,7 @@ use crate::packet::Packet;
 use crate::ring::{BypassRing, RingDelivery};
 use crate::router::Router;
 use crate::stats::NetStats;
-use crate::topology::{AnyTopology, Topology};
+use crate::topology::{Adjacency, AnyTopology, Topology};
 use crate::traits::{PacketRequest, PowerMechanism, Workload};
 use crate::types::{Coord, Cycle, Dir, NodeId, PacketId, PowerState};
 
@@ -132,11 +132,18 @@ impl SchedSets {
 /// The network state, without the mechanism/workload policies.
 pub struct NetworkCore {
     pub cfg: NocConfig,
-    /// The instantiated fabric topology (from `cfg.topology`); all
-    /// adjacency queries go through it.
+    /// The instantiated fabric topology (from `cfg.topology`). The hot
+    /// path reads its answers from `adj` instead.
     pub topo: AnyTopology,
+    /// `topo`'s neighbor and coordinate answers, tabulated per node.
+    adj: Adjacency,
     pub cycle: Cycle,
     pub routers: Vec<Router>,
+    /// The power plane: every router's power state, indexed by node.
+    /// Written only by the transitions (phase 4, the mechanism step), so
+    /// it is constant during every other phase — the parallel kernel's
+    /// tiles read it directly, with no per-phase snapshot.
+    powers: Vec<PowerState>,
     /// Directed inter-router channels, indexed `node * 4 + dir`; the channel
     /// leads *out of* `node` in direction `dir`. Edge slots exist but stay
     /// unused.
@@ -197,8 +204,6 @@ pub struct NetworkCore {
     /// Scheduling strategy for the hot phase loops; see [`KernelMode`].
     pub kernel: KernelMode,
     sched: SchedSets,
-    /// Scratch: occupied VA slots in rotated scan order (see `va_stage`).
-    va_order: Vec<u16>,
     /// Parallel-kernel state (tile plan, worker pool, per-tile buffers),
     /// created lazily on the first [`KernelMode::Parallel`] phase.
     par: Option<Box<par::ParState>>,
@@ -247,7 +252,9 @@ impl NetworkCore {
         let cores = topo.cores();
         let measure_from = 0;
         Ok(NetworkCore {
+            adj: Adjacency::new(&topo),
             routers: (0..n).map(|i| Router::new(&cfg, i as NodeId)).collect(),
+            powers: vec![PowerState::Active; n],
             channels: (0..n * 4).map(|_| Channel::new()).collect(),
             eject: (0..n).map(|_| Channel::new()).collect(),
             nics: (0..n).map(|_| Nic::new(cfg.vnets)).collect(),
@@ -267,7 +274,7 @@ impl NetworkCore {
             link_util: vec![0; n * 4],
             ring: if cfg.enable_ring {
                 // `validate` established that the topology admits a
-                // Hamiltonian cycle, n <= 256, and regular_vcs >= 2.
+                // Hamiltonian cycle and regular_vcs >= 2.
                 let succ = topo.ring_successors().expect("validated ring topology");
                 Some(BypassRing::from_successors(succ))
             } else {
@@ -280,7 +287,6 @@ impl NetworkCore {
             gen_buf: Vec::new(),
             kernel: KernelMode::default(),
             sched: SchedSets::new(n),
-            va_order: Vec::new(),
             par: None,
             phase_nanos: None,
             cycle: 0,
@@ -379,7 +385,7 @@ impl NetworkCore {
     /// Coordinate of `node`.
     #[inline]
     pub fn coord(&self, node: NodeId) -> Coord {
-        self.topo.coord(node)
+        self.adj.coord(node)
     }
 
     /// Physical (link-level, wrap-aware on a torus) neighbor of `node` in
@@ -387,13 +393,13 @@ impl NetworkCore {
     /// follows this view; routing policy uses [`NetworkCore::grid_neighbor`].
     #[inline]
     pub fn neighbor(&self, node: NodeId, d: Dir) -> Option<NodeId> {
-        self.topo.neighbor_dir(node, d)
+        self.adj.neighbor(node, d)
     }
 
     /// Mesh-semantic (never wrapping) neighbor of `node` in `d`, if any.
     #[inline]
     pub fn grid_neighbor(&self, node: NodeId, d: Dir) -> Option<NodeId> {
-        self.topo.grid_neighbor(node, d)
+        self.adj.grid_neighbor(node, d)
     }
 
     /// Index of the outgoing channel of `node` in direction `d`.
@@ -417,19 +423,22 @@ impl NetworkCore {
     /// Power state of `node`.
     #[inline]
     pub fn power(&self, node: NodeId) -> PowerState {
-        self.routers[node as usize].power
+        self.powers[node as usize]
+    }
+
+    /// The power plane: every router's power state, indexed by node.
+    #[inline]
+    pub(crate) fn powers(&self) -> &[PowerState] {
+        &self.powers
     }
 
     /// Grid-neighbor power states as seen from `node` (the PSR view).
     /// Deliberately the *grid* view: routing policy and the mechanisms'
     /// edge logic stay mesh-semantic on a torus (wrap links carry only the
     /// baseline's wrap-minimal traffic and physical transit).
+    #[inline]
     pub fn psr(&self, node: NodeId) -> [Option<PowerState>; 4] {
-        let mut out = [None; 4];
-        for d in Dir::ALL {
-            out[d.index()] = self.grid_neighbor(node, d).map(|m| self.power(m));
-        }
-        out
+        psr(&self.adj, &self.powers, node)
     }
 
     /// True if the NIC of `node` has traffic queued or mid-serialization.
@@ -588,7 +597,7 @@ impl NetworkCore {
         match self.kernel {
             KernelMode::Reference => {
                 for i in 0..self.routers.len() {
-                    if !self.routers[i].power.is_flov() {
+                    if !self.powers[i].is_flov() {
                         debug_assert!(self.routers[i].latches_empty());
                         continue;
                     }
@@ -748,8 +757,9 @@ impl NetworkCore {
 
     fn deliver_flit(&mut self, target: NodeId, travel: Dir, flit: crate::flit::Flit) {
         let now = self.cycle;
+        let flov = self.powers[target as usize].is_flov();
         let r = &mut self.routers[target as usize];
-        if r.power.is_flov() {
+        if flov {
             // Fly over: into the output latch of the same travel direction.
             debug_assert!(
                 r.has_flov(travel),
@@ -789,7 +799,7 @@ impl NetworkCore {
             if next == from {
                 return false; // full wrap: nothing powered on the cycle
             }
-            if self.routers[next as usize].power.is_powered() {
+            if self.powers[next as usize].is_powered() {
                 return true;
             }
             cur = next;
@@ -798,7 +808,7 @@ impl NetworkCore {
 
     fn deliver_credit(&mut self, target: NodeId, travel: Dir, c: crate::link::CreditMsg) {
         let now = self.cycle;
-        if self.routers[target as usize].power.is_flov() {
+        if self.powers[target as usize].is_flov() {
             // Relay upstream: one extra cycle per sleeping hop.
             if self.neighbor(target, travel).is_some() && self.relay_has_consumer(target, travel) {
                 self.activity.credit_msgs += 1;
@@ -812,17 +822,19 @@ impl NetworkCore {
         } else {
             let out_port = crate::types::Port::from_dir(travel.opposite());
             let vc_flat = self.cfg.vc_index(c.vnet as usize, c.vc as usize);
-            let logical = self.logical_neighbor(target, travel.opposite());
             let r = &mut self.routers[target as usize];
             let slot = r.slot(out_port.index(), vc_flat);
-            assert!(
-                r.out_credits[slot].available() < self.cfg.buf_depth,
-                "credit overflow at router {target} port {out_port:?} vnet {} vc {} \
-                 (cycle {now}, router state {:?}, logical downstream {logical:?})",
-                c.vnet,
-                c.vc,
-                r.power,
-            );
+            // The diagnostic chain walk runs only on failure.
+            if r.out_credits[slot].available() >= self.cfg.buf_depth {
+                panic!(
+                    "credit overflow at router {target} port {out_port:?} vnet {} vc {} \
+                     (cycle {now}, router state {:?}, logical downstream {:?})",
+                    c.vnet,
+                    c.vc,
+                    self.powers[target as usize],
+                    self.logical_neighbor(target, travel.opposite()),
+                );
+            }
             r.out_credits[slot].refund();
             // A refund can unblock SA at `target`. Defensive: the flit
             // waiting on this credit is buffered at `target`, so the router
@@ -840,7 +852,7 @@ impl NetworkCore {
         let ring = self.ring.as_ref().expect("ring not enabled");
         let mut cur = ring.successor(from);
         while cur != from {
-            if cur == dst || self.routers[cur as usize].power.is_powered() {
+            if cur == dst || self.powers[cur as usize].is_powered() {
                 return cur;
             }
             cur = ring.successor(cur);
@@ -849,13 +861,13 @@ impl NetworkCore {
     }
 
     /// Queue a flit onto the bypass ring at `node`, stamping its exit node
-    /// into the (ring-unused) `vc` field. Flits are staged per packet and
+    /// into `ring_exit`. Flits are staged per packet and
     /// released to the ring station only once the tail arrives, so packets
     /// stay contiguous (flits of different packets interleave on the
     /// ejection channel).
     fn ring_ingress(&mut self, node: NodeId, mut flit: Flit, exit: NodeId) {
         debug_assert!(exit != node);
-        flit.vc = exit as u8;
+        flit.ring_exit = exit;
         let is_tail = flit.kind.is_tail();
         let stage = &mut self.ring_stage[node as usize];
         match stage.iter_mut().find(|(p, _)| *p == flit.packet) {
@@ -884,7 +896,7 @@ impl NetworkCore {
         out.clear();
         {
             let ring = self.ring.as_mut().unwrap();
-            ring.step(now, |node, flit| flit.vc as NodeId == node, &mut out);
+            ring.step(now, |node, flit| flit.ring_exit == node, &mut out);
             self.activity.ring_flits = ring.flits_forwarded;
         }
         for d in out.drain(..) {
@@ -918,7 +930,7 @@ impl NetworkCore {
         let now = self.cycle;
         for node in 0..self.nodes() as NodeId {
             // (a) Ring-to-mesh transfer at powered routers.
-            if self.routers[node as usize].power.is_powered()
+            if self.powers[node as usize].is_powered()
                 && !self.ring_transfer[node as usize].is_empty()
             {
                 let front = *self.ring_transfer[node as usize].front().unwrap();
@@ -947,7 +959,7 @@ impl NetworkCore {
             // (b) Bypass injection at gated nodes: one NIC packet per cycle
             // rides the ring (the station is NIC-side memory; the ring
             // itself still serializes at one flit per cycle).
-            if !self.routers[node as usize].power.is_powered() {
+            if !self.powers[node as usize].is_powered() {
                 let vnets = self.cfg.vnets;
                 let rr0 = self.nics[node as usize].vnet_rr;
                 for i in 0..vnets {
@@ -984,7 +996,7 @@ impl NetworkCore {
     pub(crate) fn settle_residency(&mut self, i: usize) {
         let dt = self.cycle - self.res_since[i];
         if dt > 0 {
-            if self.routers[i].power.is_powered() {
+            if self.powers[i].is_powered() {
                 self.residency[i].powered += dt;
             } else {
                 self.residency[i].gated += dt;
@@ -1022,7 +1034,7 @@ impl NetworkCore {
                 self.cycle,
                 self.in_flight_packets,
                 self.flits_in_network(),
-                self.routers.iter().map(|r| r.power).collect::<Vec<_>>()
+                self.powers
             );
         }
     }
@@ -1181,6 +1193,13 @@ impl Simulation {
             self.step();
         }
     }
+}
+
+/// The PSR view of `node` over an adjacency table and a power plane (shared
+/// by [`NetworkCore::psr`] and the parallel kernel's tiles).
+#[inline]
+fn psr(adj: &Adjacency, powers: &[PowerState], node: NodeId) -> [Option<PowerState>; 4] {
+    Dir::ALL.map(|d| adj.grid_neighbor(node, d).map(|m| powers[m as usize]))
 }
 
 /// Phase-timing lap: attribute the interval since `*t0` to the

@@ -49,15 +49,17 @@
 //! equally invisible intra-phase: nothing with arrival `now + 1` can be
 //! received at `now`.
 //!
-//! # Power snapshot
+//! # Power plane
 //!
 //! Power states change only in phase 4 (the mechanism step) and are *read*
 //! across tile boundaries by routing (`psr`, FLOV chain walks, credit
-//! relay checks). Each parallel phase therefore snapshots the power vector
-//! up front and evaluates all cross-tile power reads — including the
-//! mechanism's [`PowerMechanism::route`] / `injection_allowed` hooks, via
-//! [`SnapView`] — against the immutable snapshot, while a tile reads its
-//! *own* routers' states directly (identical by construction).
+//! relay checks). They live in one plane on the core
+//! (`NetworkCore::powers`), apart from the per-router state the tiles
+//! mutate, and that plane is constant during the four sharded phases. So
+//! every tile reads it directly — including the mechanism's
+//! [`PowerMechanism::route`] / `injection_allowed` hooks, via
+//! [`PlaneView`] — with no per-phase snapshot. Adjacency comes from the
+//! core's precomputed tables the same way.
 //!
 //! # Sharded mechanism control (phase 4)
 //!
@@ -98,7 +100,7 @@ use crate::nic::{InjectState, Nic};
 use crate::packet::DeliveredPacket;
 use crate::router::{Router, VcOwner};
 use crate::routing::RouteCtx;
-use crate::topology::{AnyTopology, Topology};
+use crate::topology::{Adjacency, AnyTopology, Topology};
 use crate::traits::{PowerMechanism, PowerView};
 use crate::types::{Cycle, Dir, NodeId, PacketId, Port, PowerState, NUM_PORTS};
 use std::cell::UnsafeCell;
@@ -402,12 +404,12 @@ fn apply_deltas(core: &mut NetworkCore, deltas: &mut [Delta], cursors: &mut Vec<
 
 // --- Shared phase context ---------------------------------------------------
 
-/// Power view over the start-of-phase snapshot.
-struct SnapView<'a> {
+/// Power view over the core's power plane, for the mechanism hooks.
+struct PlaneView<'a> {
     powers: &'a [PowerState],
 }
 
-impl PowerView for SnapView<'_> {
+impl PowerView for PlaneView<'_> {
     #[inline]
     fn nodes(&self) -> usize {
         self.powers.len()
@@ -427,6 +429,9 @@ struct Shared<'a> {
     now: Cycle,
     cfg: &'a NocConfig,
     topo: &'a AnyTopology,
+    adj: &'a Adjacency,
+    /// The power plane, constant for the whole phase: this shared borrow
+    /// of the core keeps every writer out until the join.
     powers: &'a [PowerState],
     /// The mechanism, for the injection-gate and routing hooks; `None` in
     /// the latch/delivery phases, which never consult it.
@@ -445,11 +450,10 @@ unsafe impl Send for Shared<'_> {}
 unsafe impl Sync for Shared<'_> {}
 
 /// One tile's execution context for one phase: shard access plus the
-/// tile-private delta and scratch.
+/// tile-private delta.
 struct Lane<'a> {
     sh: &'a Shared<'a>,
     d: &'a mut Delta,
-    va_order: &'a mut Vec<u16>,
 }
 
 #[allow(clippy::mut_from_ref)] // per-phase single-writer discipline; see Shared
@@ -480,24 +484,15 @@ impl Lane<'_> {
 
     #[inline]
     fn neighbor(&self, node: NodeId, d: Dir) -> Option<NodeId> {
-        self.sh.topo.neighbor_dir(node, d)
+        self.sh.adj.neighbor(node, d)
     }
 
     #[inline]
-    fn snap_power(&self, n: NodeId) -> PowerState {
+    fn power(&self, n: NodeId) -> PowerState {
         self.sh.powers[n as usize]
     }
 
-    /// PSR register contents from the snapshot (mirrors `NetworkCore::psr`).
-    fn psr(&self, node: NodeId) -> [Option<PowerState>; 4] {
-        let mut out = [None; 4];
-        for d in Dir::ALL {
-            out[d.index()] = self.sh.topo.grid_neighbor(node, d).map(|m| self.snap_power(m));
-        }
-        out
-    }
-
-    /// Snapshot twin of `NetworkCore::chain_walk`.
+    /// Twin of `NetworkCore::chain_walk`.
     fn chain_walk(&self, from: NodeId, d: Dir, dst: NodeId) -> super::ChainTarget {
         use super::ChainTarget;
         let mut cur = from;
@@ -509,7 +504,7 @@ impl Lane<'_> {
             if next == from {
                 return ChainTarget { powered: None, blocked: true, dst_on_chain: None, sleepers };
             }
-            match self.snap_power(next) {
+            match self.power(next) {
                 PowerState::Active => {
                     return ChainTarget {
                         powered: Some(next),
@@ -558,8 +553,8 @@ impl Lane<'_> {
         }
     }
 
-    /// Snapshot twin of `NetworkCore::logical_neighbor` (assert diagnostics
-    /// in the credit path).
+    /// Twin of `NetworkCore::logical_neighbor` (assert diagnostics in the
+    /// credit path).
     fn logical_neighbor(&self, node: NodeId, d: Dir) -> Option<(NodeId, u32)> {
         let mut cur = node;
         let mut hops = 0;
@@ -568,7 +563,7 @@ impl Lane<'_> {
             if next == node {
                 return None;
             }
-            if self.snap_power(next) != PowerState::Sleep {
+            if self.power(next) != PowerState::Sleep {
                 return Some((next, hops));
             }
             hops += 1;
@@ -576,7 +571,7 @@ impl Lane<'_> {
         }
     }
 
-    /// Snapshot twin of `NetworkCore::relay_has_consumer`.
+    /// Twin of `NetworkCore::relay_has_consumer`.
     fn relay_has_consumer(&self, from: NodeId, travel: Dir) -> bool {
         if !self.sh.topo.wraps() {
             return true;
@@ -587,7 +582,7 @@ impl Lane<'_> {
             if next == from {
                 return false;
             }
-            if self.snap_power(next).is_powered() {
+            if self.power(next).is_powered() {
                 return true;
             }
             cur = next;
@@ -669,7 +664,7 @@ impl Lane<'_> {
     unsafe fn deliver_flit(&mut self, target: NodeId, travel: Dir, flit: Flit) {
         let now = self.sh.now;
         let r = self.router(target as usize);
-        if r.power.is_flov() {
+        if self.power(target).is_flov() {
             debug_assert!(
                 r.has_flov(travel),
                 "flit flying over router {target} without FLOV capability in {travel:?}"
@@ -697,7 +692,7 @@ impl Lane<'_> {
     /// onward relays may target another tile's channel and are buffered).
     unsafe fn deliver_credit(&mut self, target: NodeId, travel: Dir, c: CreditMsg) {
         let now = self.sh.now;
-        if self.router(target as usize).power.is_flov() {
+        if self.power(target).is_flov() {
             if self.neighbor(target, travel).is_some() && self.relay_has_consumer(target, travel) {
                 self.d.act.credit_msgs += 1;
                 self.d.act.credit_relays += 1;
@@ -708,17 +703,19 @@ impl Lane<'_> {
         } else {
             let out_port = Port::from_dir(travel.opposite());
             let vc_flat = self.sh.cfg.vc_index(c.vnet as usize, c.vc as usize);
-            let logical = self.logical_neighbor(target, travel.opposite());
             let r = self.router(target as usize);
             let slot = r.slot(out_port.index(), vc_flat);
-            assert!(
-                r.out_credits[slot].available() < self.sh.cfg.buf_depth,
-                "credit overflow at router {target} port {out_port:?} vnet {} vc {} \
-                 (cycle {now}, router state {:?}, logical downstream {logical:?})",
-                c.vnet,
-                c.vc,
-                r.power,
-            );
+            // The diagnostic chain walk runs only on failure.
+            if r.out_credits[slot].available() >= self.sh.cfg.buf_depth {
+                panic!(
+                    "credit overflow at router {target} port {out_port:?} vnet {} vc {} \
+                     (cycle {now}, router state {:?}, logical downstream {:?})",
+                    c.vnet,
+                    c.vc,
+                    self.power(target),
+                    self.logical_neighbor(target, travel.opposite()),
+                );
+            }
             r.out_credits[slot].refund();
             self.d.inserts.push((SetId::Work, target as u32));
         }
@@ -762,7 +759,7 @@ impl Lane<'_> {
     /// released whole packets are buffered for the driver to enqueue.
     unsafe fn ring_ingress(&mut self, node: NodeId, mut flit: Flit, exit: NodeId) {
         debug_assert!(exit != node);
-        flit.vc = exit as u8;
+        flit.ring_exit = exit;
         let is_tail = flit.kind.is_tail();
         let stage = &mut *self.sh.ring_stage.add(node as usize);
         match stage.iter_mut().find(|(p, _)| *p == flit.packet) {
@@ -792,11 +789,11 @@ impl Lane<'_> {
                 self.d.removes.push((SetId::Inject, node as u32));
                 return;
             }
-            if !self.router(node as usize).power.is_powered() {
+            if !self.power(node).is_powered() {
                 return; // router gated; the mechanism is responsible for waking it
             }
             let mech = self.sh.mech.expect("injection phase requires the mechanism");
-            let gate_open = mech.injection_allowed(&SnapView { powers: self.sh.powers }, node);
+            let gate_open = mech.injection_allowed(&PlaneView { powers: self.sh.powers }, node);
             if !gate_open && self.nic(node as usize).in_progress.iter().all(|p| p.is_none()) {
                 self.d.stalled += 1;
                 return;
@@ -866,7 +863,7 @@ impl Lane<'_> {
                 self.d.removes.push((SetId::Work, node as u32));
                 return;
             }
-            debug_assert!(self.router(node as usize).power.is_powered());
+            debug_assert!(self.power(node).is_powered());
         }
         self.va_stage(node);
         self.sa_stage(node);
@@ -877,119 +874,108 @@ impl Lane<'_> {
             kx: self.sh.topo.kx(),
             ky: self.sh.topo.ky(),
             torus: self.sh.topo.wraps(),
-            at: self.sh.topo.coord(at),
+            at: self.sh.adj.coord(at),
             in_port,
-            dst: self.sh.topo.coord(dst),
+            dst: self.sh.adj.coord(dst),
             escape,
-            neighbors: self.psr(at),
+            neighbors: super::psr(self.sh.adj, self.sh.powers, at),
         }
     }
 
     /// Body twin of `pipeline::va_stage`.
     fn va_stage(&mut self, node: NodeId) {
-        let now = self.sh.now;
         let total_vcs = self.sh.cfg.total_vcs();
-        let nslots = NUM_PORTS * total_vcs;
-        let start = (now as usize).wrapping_mul(7) % nslots;
-        let mut order = std::mem::take(self.va_order);
-        order.clear();
+        let (sp, low) = super::pipeline::va_origin(self.sh.now, total_vcs);
+        for seg in 0..=NUM_PORTS {
+            let (p, keep) = super::pipeline::va_segment(seg, sp, low);
+            // SAFETY: `node` is one of this tile's tasks, so this tile is
+            // the router's only accessor for the phase (see `Shared`).
+            let mut m = unsafe { self.router(node as usize).vc_busy[p] } & keep;
+            while m != 0 {
+                let v = m.trailing_zeros() as usize;
+                m &= m - 1;
+                self.va_slot(node, p * total_vcs + v);
+            }
+        }
+    }
+
+    /// Body twin of `pipeline::va_slot`.
+    fn va_slot(&mut self, node: NodeId, s: usize) {
+        let now = self.sh.now;
+        let port = s / self.sh.cfg.total_vcs();
+        let (dst, vnet, mut escape, head_since);
+        // SAFETY (here and below): `node` is one of this tile's tasks, so
+        // this tile is the router's only accessor for the phase.
         unsafe {
-            let r = self.router(node as usize);
-            let sp = start / total_vcs;
-            let sv = start % total_vcs;
-            let low = (1u64 << sv) - 1;
-            push_busy(&mut order, sp, r.vc_busy[sp] & !low, total_vcs);
-            for off in 1..NUM_PORTS {
-                let p = (sp + off) % NUM_PORTS;
-                push_busy(&mut order, p, r.vc_busy[p], total_vcs);
+            let invc = &self.router(node as usize).inputs[s];
+            if invc.alloc.is_some() {
+                return;
             }
-            push_busy(&mut order, sp, r.vc_busy[sp] & low, total_vcs);
+            let Some(f) = invc.buf.front() else { return };
+            debug_assert!(f.kind.is_head(), "non-head flit at front without an allocation");
+            head_since = invc.head_since;
+            if now < head_since + 1 {
+                return; // still in the RC stage
+            }
+            dst = f.dst;
+            vnet = f.vnet as usize;
+            escape = f.escape;
         }
-        for &s in &order {
-            let s = s as usize;
-            let port = s / total_vcs;
-            let (dst, vnet, mut escape, head_since);
+        if !escape
+            && self.sh.cfg.escape_vcs > 0
+            && now - head_since > self.sh.cfg.escape_timeout as u64
+        {
+            escape = true;
+            self.d.escape_diversions += 1;
+            // SAFETY: as above.
             unsafe {
-                let invc = &self.router(node as usize).inputs[s];
-                if invc.alloc.is_some() {
-                    continue;
-                }
-                let Some(f) = invc.buf.front() else { continue };
-                debug_assert!(f.kind.is_head(), "non-head flit at front without an allocation");
-                head_since = invc.head_since;
-                if now < head_since + 1 {
-                    continue; // still in the RC stage
-                }
-                dst = f.dst;
-                vnet = f.vnet as usize;
-                escape = f.escape;
+                self.router(node as usize).inputs[s].buf.front_mut().unwrap().escape = true;
             }
-            if !escape
-                && self.sh.cfg.escape_vcs > 0
-                && now - head_since > self.sh.cfg.escape_timeout as u64
-            {
-                escape = true;
-                self.d.escape_diversions += 1;
-                unsafe {
-                    self.router(node as usize).inputs[s].buf.front_mut().unwrap().escape = true;
-                }
-            }
-            let in_port = Port::from_index(port);
-            let ctx = self.build_route_ctx(node, in_port, dst, escape);
-            let view = SnapView { powers: self.sh.powers };
-            let mech = self.sh.mech.expect("pipeline phase requires the mechanism");
-            let mut routed = mech.route(&view, &ctx);
-            if routed.is_none() && !escape && self.sh.cfg.escape_vcs > 0 {
-                escape = true;
-                self.d.escape_diversions += 1;
-                unsafe {
-                    self.router(node as usize).inputs[s].buf.front_mut().unwrap().escape = true;
-                }
-                routed = mech.route(&view, &RouteCtx { escape: true, ..ctx });
-            }
-            let Some(out) = routed else { continue };
-            debug_assert!(
-                escape || out == Port::Local || out != in_port,
-                "mechanism routed a non-escape U-turn at router {node}"
-            );
-            let cand_range = if escape {
-                let e = self.sh.cfg.escape_vc().expect("escape flit but no escape VC configured");
-                (e, 1)
-            } else {
-                (0, self.sh.cfg.regular_vcs)
-            };
-            if out == Port::Local {
-                debug_assert!(
-                    dst == node || self.sh.has_ring,
-                    "local ejection routed for a non-local flit without a ring"
-                );
-                self.try_grant(
-                    node,
-                    s,
-                    port,
-                    Port::Local.index(),
-                    vnet,
-                    0,
-                    self.sh.cfg.vcs_per_vnet(),
-                );
-                continue;
-            }
-            let d = out.dir().unwrap();
-            debug_assert!(
-                self.neighbor(node, d).is_some(),
-                "mechanism routed off the mesh at {node}"
-            );
-            let walk = self.chain_walk(node, d, dst);
-            if let Some(sleeper) = walk.dst_on_chain {
-                self.d.wakes.push((node, sleeper));
-                continue;
-            }
-            if walk.blocked || walk.powered.is_none() {
-                continue; // retry next cycle; handshakes resolve this
-            }
-            self.try_grant(node, s, port, out.index(), vnet, cand_range.0, cand_range.1);
         }
-        *self.va_order = order;
+        let in_port = Port::from_index(port);
+        let ctx = self.build_route_ctx(node, in_port, dst, escape);
+        let view = PlaneView { powers: self.sh.powers };
+        let mech = self.sh.mech.expect("pipeline phase requires the mechanism");
+        let mut routed = mech.route(&view, &ctx);
+        if routed.is_none() && !escape && self.sh.cfg.escape_vcs > 0 {
+            escape = true;
+            self.d.escape_diversions += 1;
+            // SAFETY: as above.
+            unsafe {
+                self.router(node as usize).inputs[s].buf.front_mut().unwrap().escape = true;
+            }
+            routed = mech.route(&view, &RouteCtx { escape: true, ..ctx });
+        }
+        let Some(out) = routed else { return };
+        debug_assert!(
+            escape || out == Port::Local || out != in_port,
+            "mechanism routed a non-escape U-turn at router {node}"
+        );
+        let cand_range = if escape {
+            let e = self.sh.cfg.escape_vc().expect("escape flit but no escape VC configured");
+            (e, 1)
+        } else {
+            (0, self.sh.cfg.regular_vcs)
+        };
+        if out == Port::Local {
+            debug_assert!(
+                dst == node || self.sh.has_ring,
+                "local ejection routed for a non-local flit without a ring"
+            );
+            self.try_grant(node, s, port, Port::Local.index(), vnet, 0, self.sh.cfg.vcs_per_vnet());
+            return;
+        }
+        let d = out.dir().unwrap();
+        debug_assert!(self.neighbor(node, d).is_some(), "mechanism routed off the mesh at {node}");
+        let walk = self.chain_walk(node, d, dst);
+        if let Some(sleeper) = walk.dst_on_chain {
+            self.d.wakes.push((node, sleeper));
+            return;
+        }
+        if walk.blocked || walk.powered.is_none() {
+            return; // retry next cycle; handshakes resolve this
+        }
+        self.try_grant(node, s, port, out.index(), vnet, cand_range.0, cand_range.1);
     }
 
     /// Body twin of `pipeline::try_grant`.
@@ -1026,59 +1012,44 @@ impl Lane<'_> {
     fn sa_stage(&mut self, node: NodeId) {
         let now = self.sh.now;
         let total_vcs = self.sh.cfg.total_vcs();
-        let mut cand: [Option<(usize, usize, u8)>; NUM_PORTS] = [None; NUM_PORTS];
+        let mut cand: [(usize, u8); NUM_PORTS] = [(0, 0); NUM_PORTS];
+        let mut requests = [0u64; NUM_PORTS];
         #[allow(clippy::needless_range_loop)]
         for p in 0..NUM_PORTS {
-            unsafe {
-                if self.router(node as usize).port_occupancy[p] == 0 {
+            // SAFETY: `node` is one of this tile's tasks, so this tile is
+            // the router's only accessor for the phase (see `Shared`).
+            let r = unsafe { self.router(node as usize) };
+            let mut busy = r.vc_busy[p];
+            let mut mask: u64 = 0;
+            while busy != 0 {
+                let v = busy.trailing_zeros() as usize;
+                busy &= busy - 1;
+                let invc = &r.inputs[p * total_vcs + v];
+                let Some((op, ovc)) = invc.alloc else { continue };
+                let f = invc.buf.front().expect("vc_busy bit set on an empty VC");
+                if f.kind.is_head() && now < invc.head_since + 1 {
                     continue;
                 }
-                let mut mask: u64 = 0;
-                {
-                    let r = self.router(node as usize);
-                    let mut busy = r.vc_busy[p];
-                    while busy != 0 {
-                        let v = busy.trailing_zeros() as usize;
-                        busy &= busy - 1;
-                        let s = p * total_vcs + v;
-                        let invc = &r.inputs[s];
-                        let Some((op, ovc)) = invc.alloc else { continue };
-                        let f = invc.buf.front().expect("vc_busy bit set on an empty VC");
-                        if f.kind.is_head() && now < invc.head_since + 1 {
-                            continue;
-                        }
-                        if op as usize != Port::Local.index() {
-                            let flat = self.sh.cfg.vc_index(f.vnet as usize, ovc as usize);
-                            if !r.out_credits[r.slot(op as usize, flat)].has_credit() {
-                                continue;
-                            }
-                        }
-                        mask |= 1 << v;
+                if op as usize != Port::Local.index() {
+                    let flat = self.sh.cfg.vc_index(f.vnet as usize, ovc as usize);
+                    if !r.out_credits[r.slot(op as usize, flat)].has_credit() {
+                        continue;
                     }
                 }
-                if mask == 0 {
-                    continue;
-                }
-                let r = self.router(node as usize);
-                let v = r.sa_in[p].grant(|i| mask & (1 << i) != 0).unwrap();
-                let (op, ovc) = r.inputs[p * total_vcs + v].alloc.unwrap();
-                cand[p] = Some((p * total_vcs + v, op as usize, ovc));
+                mask |= 1 << v;
             }
+            let Some(v) = r.sa_in[p].grant(mask) else { continue };
+            let s = p * total_vcs + v;
+            let (op, ovc) = r.inputs[s].alloc.unwrap();
+            cand[p] = (s, ovc);
+            requests[op as usize] |= 1 << p;
         }
-        for op in 0..NUM_PORTS {
-            let mut mask: u64 = 0;
-            for (p, c) in cand.iter().enumerate() {
-                if c.is_some_and(|(_, o, _)| o == op) {
-                    mask |= 1 << p;
-                }
-            }
-            if mask == 0 {
+        for (op, &mask) in requests.iter().enumerate() {
+            // SAFETY: as above.
+            let Some(p) = (unsafe { self.router(node as usize).sa_out[op].grant(mask) }) else {
                 continue;
-            }
-            let p = unsafe {
-                self.router(node as usize).sa_out[op].grant(|i| mask & (1 << i) != 0).unwrap()
             };
-            let (s, _, ovc) = cand[p].unwrap();
+            let (s, ovc) = cand[p];
             self.st_traverse(node, p, s, op, ovc);
         }
     }
@@ -1146,17 +1117,6 @@ impl Lane<'_> {
             }
             self.d.progressed = true;
         }
-    }
-}
-
-/// Twin of `pipeline::push_busy`.
-#[inline]
-fn push_busy(order: &mut Vec<u16>, p: usize, mask: u64, total_vcs: usize) {
-    let mut m = mask;
-    while m != 0 {
-        let v = m.trailing_zeros() as usize;
-        order.push((p * total_vcs + v) as u16);
-        m &= m - 1;
     }
 }
 
@@ -1367,14 +1327,12 @@ struct JobCtx<'a> {
     /// the *receiving* router.
     chan_tasks: &'a [u32],
     deltas: *mut Delta,
-    va_orders: *mut Vec<u16>,
 }
 
 unsafe fn run_tile(ctx: *const (), tile: usize) {
     let j = &*(ctx as *const JobCtx);
     let d = &mut *j.deltas.add(tile);
-    let va_order = &mut *j.va_orders.add(tile);
-    let mut lane = Lane { sh: &j.sh, d, va_order };
+    let mut lane = Lane { sh: &j.sh, d };
     let plan = j.plan;
     match j.kind {
         PhaseKind::Latch => {
@@ -1389,8 +1347,7 @@ unsafe fn run_tile(ctx: *const (), tile: usize) {
                 let node = (e / 4) as NodeId;
                 let dir = Dir::from_index(e as usize % 4);
                 // Edge channels are never sent on, hence never marked.
-                let target =
-                    j.sh.topo.neighbor_dir(node, dir).expect("active channel on a mesh edge");
+                let target = j.sh.adj.neighbor(node, dir).expect("active channel on a mesh edge");
                 if plan.tile_of(target as u32) == tile {
                     lane.chan_task(e as usize);
                 }
@@ -1426,10 +1383,8 @@ pub(super) struct ParState {
     plan: TilePlan,
     pool: Pool,
     deltas: Vec<Delta>,
-    powers: Vec<PowerState>,
     tasks: Vec<u32>,
     chan_tasks: Vec<u32>,
-    va_orders: Vec<Vec<u16>>,
     /// Per-node not-quiet flags for the sharded control step.
     ctl_flags: Vec<u8>,
     /// Persistent scratch for the ordered replay merges.
@@ -1454,10 +1409,8 @@ impl ParState {
             requested: (tiles, grid),
             pool: Pool::new((t - 1).min(avail.saturating_sub(1))),
             deltas: (0..t).map(|_| Delta::for_tile(owned)).collect(),
-            powers: Vec::new(),
             tasks: Vec::new(),
             chan_tasks: Vec::new(),
-            va_orders: (0..t).map(|_| Vec::new()).collect(),
             ctl_flags: Vec::new(),
             cursors: Vec::new(),
             plan,
@@ -1475,21 +1428,13 @@ fn take_state(core: &mut NetworkCore, tiles: usize, grid: Option<(u16, u16)>) ->
     }
 }
 
-fn snapshot_powers(core: &NetworkCore, powers: &mut Vec<PowerState>) {
-    powers.clear();
-    powers.extend(core.routers.iter().map(|r| r.power));
-}
-
-fn make_shared<'a>(
-    core: &'a mut NetworkCore,
-    mech: Option<&'a dyn PowerMechanism>,
-    powers: &'a [PowerState],
-) -> Shared<'a> {
+fn make_shared<'a>(core: &'a mut NetworkCore, mech: Option<&'a dyn PowerMechanism>) -> Shared<'a> {
     Shared {
         now: core.cycle,
         cfg: &core.cfg,
         topo: &core.topo,
-        powers,
+        adj: &core.adj,
+        powers: &core.powers,
         mech,
         has_ring: core.ring.is_some(),
         nodes: core.routers.len(),
@@ -1513,16 +1458,13 @@ fn run_phase(
     kind: PhaseKind,
 ) {
     {
-        let deltas = st.deltas.as_mut_ptr();
-        let va_orders = st.va_orders.as_mut_ptr();
         let ctx = JobCtx {
-            sh: make_shared(core, mech, &st.powers),
+            sh: make_shared(core, mech),
             kind,
             plan: &st.plan,
             tasks: &st.tasks,
             chan_tasks: &st.chan_tasks,
-            deltas,
-            va_orders,
+            deltas: st.deltas.as_mut_ptr(),
         };
         let tiles = st.plan.tiles();
         st.pool.run(Job { ctx: &ctx as *const JobCtx as *const (), run: run_tile, tiles });
@@ -1539,7 +1481,6 @@ pub(super) fn latch_phase(core: &mut NetworkCore, tiles: usize, grid: Option<(u1
     let mut st = take_state(core, tiles, grid);
     core.sched.latch.collect_into(&mut st.tasks);
     if !st.tasks.is_empty() {
-        snapshot_powers(core, &mut st.powers);
         run_phase(core, None, &mut st, PhaseKind::Latch);
     }
     core.par = Some(st);
@@ -1552,7 +1493,6 @@ pub(super) fn delivery_phase(core: &mut NetworkCore, tiles: usize, grid: Option<
     core.sched.chan.collect_into(&mut st.chan_tasks);
     core.sched.eject.collect_into(&mut st.tasks);
     if !st.tasks.is_empty() || !st.chan_tasks.is_empty() {
-        snapshot_powers(core, &mut st.powers);
         run_phase(core, None, &mut st, PhaseKind::Deliver);
     }
     core.par = Some(st);
@@ -1568,7 +1508,6 @@ pub(super) fn injection_phase(
     let mut st = take_state(core, tiles, grid);
     core.sched.inject.collect_into(&mut st.tasks);
     if !st.tasks.is_empty() {
-        snapshot_powers(core, &mut st.powers);
         run_phase(core, Some(mech), &mut st, PhaseKind::Inject);
     }
     core.par = Some(st);
@@ -1584,7 +1523,6 @@ pub(super) fn pipeline_phase(
     let mut st = take_state(core, tiles, grid);
     core.sched.work.collect_into(&mut st.tasks);
     if !st.tasks.is_empty() {
-        snapshot_powers(core, &mut st.powers);
         run_phase(core, Some(mech), &mut st, PhaseKind::Pipeline);
     }
     core.par = Some(st);

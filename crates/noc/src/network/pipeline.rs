@@ -74,7 +74,7 @@ pub(super) fn injection_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism)
 fn inject_node(core: &mut NetworkCore, mech: &dyn PowerMechanism, node: NodeId) {
     let now = core.cycle;
     let vnets = core.cfg.vnets;
-    if !core.routers[node as usize].power.is_powered() {
+    if !core.powers[node as usize].is_powered() {
         return; // router gated; the mechanism is responsible for waking it
     }
     // The injection gate (Router Parking's reconfiguration stall) blocks
@@ -157,7 +157,7 @@ pub(super) fn pipeline_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism) 
     match core.kernel {
         KernelMode::Reference => {
             for node in 0..core.nodes() as NodeId {
-                if !core.routers[node as usize].power.is_powered() {
+                if !core.powers[node as usize].is_powered() {
                     continue;
                 }
                 va_stage(core, mech, node);
@@ -175,7 +175,7 @@ pub(super) fn pipeline_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism) 
                 }
                 // Buffered flits imply a powered router: `enter_sleep`
                 // asserts the buffers are drained.
-                debug_assert!(core.routers[i].power.is_powered());
+                debug_assert!(core.powers[i].is_powered());
                 va_stage(core, mech, node as NodeId);
                 sa_stage(core, node as NodeId);
             }
@@ -189,116 +189,119 @@ pub(super) fn pipeline_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism) 
 /// front is an unallocated head flit past its RC cycle, compute the route
 /// (re-evaluated every cycle until granted, so decisions always use current
 /// power states), walk the FLOV chain, and try to claim a downstream VC.
+///
+/// Slots are visited circularly from a rotating flat-slot origin, walking
+/// only the *occupied* ones: the set bits of each port's `vc_busy` mask,
+/// starting mid-port at the origin and wrapping back to that port's low
+/// VCs last. Equivalent to scanning every slot: a slot with an empty
+/// buffer exits the body before any side effect, and VA never pushes or
+/// pops a flit, so the masks are constant while the walk reads them.
 fn va_stage(core: &mut NetworkCore, mech: &dyn PowerMechanism, node: NodeId) {
-    let now = core.cycle;
     let total_vcs = core.cfg.total_vcs();
-    let nslots = NUM_PORTS * total_vcs;
-    let start = (now as usize).wrapping_mul(7) % nslots;
-    // Collect the *occupied* slots in the rotated flat-slot scan order from
-    // the per-port bitmasks. Equivalent to scanning all slots circularly
-    // from `start`: a slot with an empty buffer exits the body before any
-    // side effect (either `alloc` is set and body flits are still upstream,
-    // or there is no front flit), and buffers don't change during VA.
-    let mut order = std::mem::take(&mut core.va_order);
-    order.clear();
-    {
-        let r = &core.routers[node as usize];
-        let sp = start / total_vcs;
-        let sv = start % total_vcs;
-        let low = (1u64 << sv) - 1; // VCs before the rotated origin
-        push_busy(&mut order, sp, r.vc_busy[sp] & !low, total_vcs);
-        for off in 1..NUM_PORTS {
-            let p = (sp + off) % NUM_PORTS;
-            push_busy(&mut order, p, r.vc_busy[p], total_vcs);
+    let (sp, low) = va_origin(core.cycle, total_vcs);
+    for seg in 0..=NUM_PORTS {
+        let (p, keep) = va_segment(seg, sp, low);
+        let mut m = core.routers[node as usize].vc_busy[p] & keep;
+        while m != 0 {
+            let v = m.trailing_zeros() as usize;
+            m &= m - 1;
+            va_slot(core, mech, node, p * total_vcs + v);
         }
-        push_busy(&mut order, sp, r.vc_busy[sp] & low, total_vcs);
     }
-    for &s in &order {
-        let s = s as usize;
-        let port = s / total_vcs;
-        let (dst, vnet, mut escape, head_since);
-        {
-            let invc = &core.routers[node as usize].inputs[s];
-            if invc.alloc.is_some() {
-                continue;
-            }
-            let Some(f) = invc.buf.front() else { continue };
-            debug_assert!(f.kind.is_head(), "non-head flit at front without an allocation");
-            head_since = invc.head_since;
-            if now < head_since + 1 {
-                continue; // still in the RC stage
-            }
-            dst = f.dst;
-            vnet = f.vnet as usize;
-            escape = f.escape;
-        }
-        // Duato timeout recovery: divert long-blocked packets to the escape
-        // sub-network.
-        if !escape && core.cfg.escape_vcs > 0 && now - head_since > core.cfg.escape_timeout as u64 {
-            escape = true;
-            core.escape_diversions += 1;
-            core.routers[node as usize].inputs[s].buf.front_mut().unwrap().escape = true;
-        }
-        let in_port = Port::from_index(port);
-        let ctx = build_route_ctx(core, node, in_port, dst, escape);
-        let mut routed = mech.route(core, &ctx);
-        if routed.is_none() && !escape && core.cfg.escape_vcs > 0 {
-            // The regular routing function has no viable output at all
-            // (e.g. FLOV's U-turn trap with both turn candidates gated):
-            // divert to the escape sub-network immediately — it guarantees
-            // a path — instead of burning the whole deadlock timeout.
-            escape = true;
-            core.escape_diversions += 1;
-            core.routers[node as usize].inputs[s].buf.front_mut().unwrap().escape = true;
-            routed = mech.route(core, &RouteCtx { escape: true, ..ctx });
-        }
-        let Some(out) = routed else { continue };
-        debug_assert!(
-            escape || out == Port::Local || out != in_port,
-            "mechanism routed a non-escape U-turn at router {node}"
-        );
-        let cand_range = if escape {
-            let e = core.cfg.escape_vc().expect("escape flit but no escape VC configured");
-            (e, 1)
-        } else {
-            (0, core.cfg.regular_vcs)
-        };
-        if out == Port::Local {
-            debug_assert!(
-                dst == node || core.ring.is_some(),
-                "local ejection routed for a non-local flit without a ring"
-            );
-            // Ejection may use any VC of the vnet (the NIC always drains).
-            try_grant(core, node, s, port, Port::Local.index(), vnet, 0, core.cfg.vcs_per_vnet());
-            continue;
-        }
-        let d = out.dir().unwrap();
-        debug_assert!(core.neighbor(node, d).is_some(), "mechanism routed off the mesh at {node}");
-        let walk = core.chain_walk(node, d, dst);
-        if let Some(sleeper) = walk.dst_on_chain {
-            // Destination router is power-gated: hold the packet and ask the
-            // mechanism to wake it.
-            core.request_wakeup(sleeper);
-            continue;
-        }
-        if walk.blocked || walk.powered.is_none() {
-            continue; // retry next cycle; handshakes resolve this
-        }
-        try_grant(core, node, s, port, out.index(), vnet, cand_range.0, cand_range.1);
-    }
-    core.va_order = order;
 }
 
-/// Append the slot indices of the set bits of `mask` (port `p`'s occupied
-/// VCs) in ascending VC order.
+/// Rotating VA scan origin at cycle `now`: the origin port and the mask of
+/// its VCs *below* the origin VC (visited last, after the wrap).
 #[inline]
-fn push_busy(order: &mut Vec<u16>, p: usize, mask: u64, total_vcs: usize) {
-    let mut m = mask;
-    while m != 0 {
-        let v = m.trailing_zeros() as usize;
-        order.push((p * total_vcs + v) as u16);
-        m &= m - 1;
+pub(super) fn va_origin(now: u64, total_vcs: usize) -> (usize, u64) {
+    let start = (now as usize).wrapping_mul(7) % (NUM_PORTS * total_vcs);
+    (start / total_vcs, (1u64 << (start % total_vcs)) - 1)
+}
+
+/// Segment `seg` (`0..=NUM_PORTS`) of the rotated VA walk: the port and
+/// the mask of its VCs the segment covers.
+#[inline]
+pub(super) fn va_segment(seg: usize, sp: usize, low: u64) -> (usize, u64) {
+    match seg {
+        0 => (sp, !low),
+        NUM_PORTS => (sp, low),
+        _ => ((sp + seg) % NUM_PORTS, u64::MAX),
     }
+}
+
+/// VA body for the occupied input VC slot `s` of `node`.
+fn va_slot(core: &mut NetworkCore, mech: &dyn PowerMechanism, node: NodeId, s: usize) {
+    let now = core.cycle;
+    let port = s / core.cfg.total_vcs();
+    let (dst, vnet, mut escape, head_since);
+    {
+        let invc = &core.routers[node as usize].inputs[s];
+        if invc.alloc.is_some() {
+            return;
+        }
+        let Some(f) = invc.buf.front() else { return };
+        debug_assert!(f.kind.is_head(), "non-head flit at front without an allocation");
+        head_since = invc.head_since;
+        if now < head_since + 1 {
+            return; // still in the RC stage
+        }
+        dst = f.dst;
+        vnet = f.vnet as usize;
+        escape = f.escape;
+    }
+    // Duato timeout recovery: divert long-blocked packets to the escape
+    // sub-network.
+    if !escape && core.cfg.escape_vcs > 0 && now - head_since > core.cfg.escape_timeout as u64 {
+        escape = true;
+        core.escape_diversions += 1;
+        core.routers[node as usize].inputs[s].buf.front_mut().unwrap().escape = true;
+    }
+    let in_port = Port::from_index(port);
+    let ctx = build_route_ctx(core, node, in_port, dst, escape);
+    let mut routed = mech.route(core, &ctx);
+    if routed.is_none() && !escape && core.cfg.escape_vcs > 0 {
+        // The regular routing function has no viable output at all
+        // (e.g. FLOV's U-turn trap with both turn candidates gated):
+        // divert to the escape sub-network immediately — it guarantees
+        // a path — instead of burning the whole deadlock timeout.
+        escape = true;
+        core.escape_diversions += 1;
+        core.routers[node as usize].inputs[s].buf.front_mut().unwrap().escape = true;
+        routed = mech.route(core, &RouteCtx { escape: true, ..ctx });
+    }
+    let Some(out) = routed else { return };
+    debug_assert!(
+        escape || out == Port::Local || out != in_port,
+        "mechanism routed a non-escape U-turn at router {node}"
+    );
+    let cand_range = if escape {
+        let e = core.cfg.escape_vc().expect("escape flit but no escape VC configured");
+        (e, 1)
+    } else {
+        (0, core.cfg.regular_vcs)
+    };
+    if out == Port::Local {
+        debug_assert!(
+            dst == node || core.ring.is_some(),
+            "local ejection routed for a non-local flit without a ring"
+        );
+        // Ejection may use any VC of the vnet (the NIC always drains).
+        try_grant(core, node, s, port, Port::Local.index(), vnet, 0, core.cfg.vcs_per_vnet());
+        return;
+    }
+    let d = out.dir().unwrap();
+    debug_assert!(core.neighbor(node, d).is_some(), "mechanism routed off the mesh at {node}");
+    let walk = core.chain_walk(node, d, dst);
+    if let Some(sleeper) = walk.dst_on_chain {
+        // Destination router is power-gated: hold the packet and ask the
+        // mechanism to wake it.
+        core.request_wakeup(sleeper);
+        return;
+    }
+    if walk.blocked || walk.powered.is_none() {
+        return; // retry next cycle; handshakes resolve this
+    }
+    try_grant(core, node, s, port, out.index(), vnet, cand_range.0, cand_range.1);
 }
 
 /// Claim a free downstream VC among `[first, first + count)` of `vnet` on
@@ -338,57 +341,42 @@ fn try_grant(
 fn sa_stage(core: &mut NetworkCore, node: NodeId) {
     let now = core.cycle;
     let total_vcs = core.cfg.total_vcs();
-    let mut cand: [Option<(usize, usize, u8)>; NUM_PORTS] = [None; NUM_PORTS];
+    // Stage-1 winner per input port, and per output port the mask of input
+    // ports whose winner requests it.
+    let mut cand: [(usize, u8); NUM_PORTS] = [(0, 0); NUM_PORTS];
+    let mut requests = [0u64; NUM_PORTS];
     #[allow(clippy::needless_range_loop)] // index mirrors the hardware port id
     for p in 0..NUM_PORTS {
-        if core.routers[node as usize].port_occupancy[p] == 0 {
-            continue;
-        }
+        let r = &mut core.routers[node as usize];
+        // Only occupied VCs can bid (an empty VC has no front flit).
+        let mut busy = r.vc_busy[p];
         let mut mask: u64 = 0;
-        {
-            let r = &core.routers[node as usize];
-            // Only occupied VCs can bid (an empty VC has no front flit);
-            // candidate masks are order-independent, so plain bit order.
-            let mut busy = r.vc_busy[p];
-            while busy != 0 {
-                let v = busy.trailing_zeros() as usize;
-                busy &= busy - 1;
-                let s = p * total_vcs + v;
-                let invc = &r.inputs[s];
-                let Some((op, ovc)) = invc.alloc else { continue };
-                let f = invc.buf.front().expect("vc_busy bit set on an empty VC");
-                if f.kind.is_head() && now < invc.head_since + 1 {
+        while busy != 0 {
+            let v = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            let invc = &r.inputs[p * total_vcs + v];
+            let Some((op, ovc)) = invc.alloc else { continue };
+            let f = invc.buf.front().expect("vc_busy bit set on an empty VC");
+            if f.kind.is_head() && now < invc.head_since + 1 {
+                continue;
+            }
+            if op as usize != Port::Local.index() {
+                let flat = core.cfg.vc_index(f.vnet as usize, ovc as usize);
+                if !r.out_credits[r.slot(op as usize, flat)].has_credit() {
                     continue;
                 }
-                if op as usize != Port::Local.index() {
-                    let flat = core.cfg.vc_index(f.vnet as usize, ovc as usize);
-                    if !r.out_credits[r.slot(op as usize, flat)].has_credit() {
-                        continue;
-                    }
-                }
-                mask |= 1 << v;
             }
+            mask |= 1 << v;
         }
-        if mask == 0 {
-            continue;
-        }
-        let r = &mut core.routers[node as usize];
-        let v = r.sa_in[p].grant(|i| mask & (1 << i) != 0).unwrap();
-        let (op, ovc) = r.inputs[p * total_vcs + v].alloc.unwrap();
-        cand[p] = Some((p * total_vcs + v, op as usize, ovc));
+        let Some(v) = r.sa_in[p].grant(mask) else { continue };
+        let s = p * total_vcs + v;
+        let (op, ovc) = r.inputs[s].alloc.unwrap();
+        cand[p] = (s, ovc);
+        requests[op as usize] |= 1 << p;
     }
-    for op in 0..NUM_PORTS {
-        let mut mask: u64 = 0;
-        for (p, c) in cand.iter().enumerate() {
-            if c.is_some_and(|(_, o, _)| o == op) {
-                mask |= 1 << p;
-            }
-        }
-        if mask == 0 {
-            continue;
-        }
-        let p = core.routers[node as usize].sa_out[op].grant(|i| mask & (1 << i) != 0).unwrap();
-        let (s, _, ovc) = cand[p].unwrap();
+    for (op, &mask) in requests.iter().enumerate() {
+        let Some(p) = core.routers[node as usize].sa_out[op].grant(mask) else { continue };
+        let (s, ovc) = cand[p];
         st_traverse(core, node, p, s, op, ovc);
     }
 }

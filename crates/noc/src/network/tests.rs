@@ -444,7 +444,7 @@ fn auditor_flags_gated_residency() {
     let mut sim = Simulation::new(small_cfg(), Box::new(AlwaysOnYx), Box::new(w));
     sim.run(14);
     assert!(sim.core.routers[1].buffered_flits() > 0, "no flits staged in router 1");
-    sim.core.routers[1].power = PowerState::Sleep;
+    sim.core.powers[1] = PowerState::Sleep;
     let mut aud = Auditor::with_interval(1, 0);
     aud.check(&sim.core, sim.mech.as_ref());
     let kinds: Vec<AuditKind> = aud.violations().iter().map(|v| v.kind).collect();
@@ -456,7 +456,7 @@ fn auditor_flags_mechanism_state_violation() {
     // The baseline's audit_state contract: no router ever leaves Active.
     let mut sim = Simulation::new(small_cfg(), Box::new(AlwaysOnYx), Box::new(SilentWorkload));
     sim.run(10);
-    sim.core.routers[2].power = PowerState::Draining;
+    sim.core.powers[2] = PowerState::Draining;
     let mut aud = Auditor::with_interval(1, 0);
     aud.check(&sim.core, sim.mech.as_ref());
     let kinds: Vec<AuditKind> = aud.violations().iter().map(|v| v.kind).collect();

@@ -4,7 +4,8 @@
 //!
 //! The *decisions* live in the mechanism implementations (`flov-core`); this
 //! module enforces the preconditions each transition contractually requires
-//! and applies the state changes consistently.
+//! and applies the state changes consistently. It is the only writer of the
+//! power plane (`NetworkCore::powers`).
 
 use super::NetworkCore;
 use crate::router::VcOwner;
@@ -15,17 +16,15 @@ impl NetworkCore {
     /// transmissions (enforced by the VC allocator's chain walk) and starts
     /// emptying its buffers.
     pub fn begin_drain(&mut self, node: NodeId) {
-        let r = &mut self.routers[node as usize];
-        assert_eq!(r.power, PowerState::Active, "begin_drain from non-Active at {node}");
-        r.power = PowerState::Draining;
+        self.check_power(node, PowerState::Active, "begin_drain");
+        self.powers[node as usize] = PowerState::Draining;
     }
 
     /// `Draining -> Active`: lost the drain arbitration or saw new local
     /// traffic; resume normal operation.
     pub fn abort_drain(&mut self, node: NodeId) {
-        let r = &mut self.routers[node as usize];
-        assert_eq!(r.power, PowerState::Draining, "abort_drain from non-Draining at {node}");
-        r.power = PowerState::Active;
+        self.check_power(node, PowerState::Draining, "abort_drain");
+        self.powers[node as usize] = PowerState::Active;
     }
 
     /// `Draining -> Sleep`: power-gate the baseline datapath and activate
@@ -34,16 +33,16 @@ impl NetworkCore {
     /// established this. Re-seeds upstream credit counters to track the new
     /// logical downstream (paper Fig. 3(d)-(e)).
     pub fn enter_sleep(&mut self, node: NodeId) {
+        self.check_power(node, PowerState::Draining, "enter_sleep");
         {
             let r = &self.routers[node as usize];
-            assert_eq!(r.power, PowerState::Draining, "enter_sleep from non-Draining at {node}");
             assert!(r.is_drained(), "enter_sleep with undrained buffers at {node}");
             assert!(r.latches_empty(), "enter_sleep with occupied latches at {node}");
         }
         assert!(self.fully_quiescent(node), "enter_sleep without quiescence at {node}");
         // Crossing the powered->gated boundary: settle residency first.
         self.settle_residency(node as usize);
-        self.routers[node as usize].power = PowerState::Sleep;
+        self.powers[node as usize] = PowerState::Sleep;
         self.activity.gating_events += 1;
         // For each pass-through flow direction, the powered upstream
         // inherits this router's *own* credit counter — the paper's Fig.
@@ -91,25 +90,24 @@ impl NetworkCore {
     /// `Sleep -> Wakeup`: begin powering the baseline datapath back on. The
     /// FLOV latches keep forwarding in-flight traffic during the ramp.
     pub fn begin_wakeup(&mut self, node: NodeId) {
-        let r = &mut self.routers[node as usize];
-        assert_eq!(r.power, PowerState::Sleep, "begin_wakeup from non-Sleep at {node}");
-        r.power = PowerState::Wakeup;
+        self.check_power(node, PowerState::Sleep, "begin_wakeup");
+        self.powers[node as usize] = PowerState::Wakeup;
     }
 
     /// `Wakeup -> Active`: the power ramp finished and the neighborhood is
     /// quiescent; switch the muxes back, set upstream credits to full (the
     /// woken buffers are empty) and receive credit state from downstream.
     pub fn complete_wakeup(&mut self, node: NodeId) {
+        self.check_power(node, PowerState::Wakeup, "complete_wakeup");
         {
             let r = &self.routers[node as usize];
-            assert_eq!(r.power, PowerState::Wakeup, "complete_wakeup from non-Wakeup at {node}");
             assert!(r.latches_empty(), "complete_wakeup with occupied latches at {node}");
             assert!(r.is_drained(), "woken router has stale buffer state at {node}");
         }
         assert!(self.fully_quiescent(node), "complete_wakeup without quiescence at {node}");
         // Crossing the gated->powered boundary: settle residency first.
         self.settle_residency(node as usize);
-        self.routers[node as usize].power = PowerState::Active;
+        self.powers[node as usize] = PowerState::Active;
         self.activity.gating_events += 1;
         // Re-mark for the active-set kernel: a newly powered router is
         // schedulable again (its buffers are drained, so these marks are
@@ -169,6 +167,11 @@ impl NetworkCore {
             r.out_vc_state[slot] = VcOwner::Free;
         }
         r.touch_local(self.cycle);
+    }
+
+    /// Precondition of transition `what`: `node` is in state `from`.
+    fn check_power(&self, node: NodeId, from: PowerState, what: &str) {
+        assert_eq!(self.powers[node as usize], from, "{what} from non-{from:?} at {node}");
     }
 
     /// Nearest *powered* (Active or Draining) router from `node` in `d`,

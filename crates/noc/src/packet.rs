@@ -30,6 +30,7 @@ impl Packet {
             dst: self.dst,
             vnet: self.vnet,
             vc: 0,
+            ring_exit: 0,
             escape: false,
             flit_idx: idx,
             pkt_len: self.len,

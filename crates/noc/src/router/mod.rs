@@ -1,5 +1,6 @@
 //! The FLOV router model: baseline 3-stage VC router state plus the FLOV
-//! additions (output latches, power state, PSR-visible neighbor states).
+//! additions (output latches, FLOV capability). Power states live in the
+//! network's power plane (`NetworkCore::powers`), not here.
 //!
 //! Pipeline *logic* lives in [`crate::network::pipeline`]; this module owns
 //! the per-router state and its invariants.
@@ -9,7 +10,7 @@ pub mod arbiter;
 use crate::buffer::{CreditCounter, VcBuffer};
 use crate::config::NocConfig;
 use crate::flit::Flit;
-use crate::types::{Coord, Cycle, Dir, NodeId, PowerState, NUM_PORTS};
+use crate::types::{Coord, Cycle, Dir, NodeId, NUM_PORTS};
 use arbiter::RoundRobin;
 
 /// Ownership of one downstream input VC, tracked at the upstream router.
@@ -51,8 +52,6 @@ impl InVc {
 #[derive(Clone, Debug)]
 pub struct Router {
     pub id: NodeId,
-    pub coord: Coord,
-    pub power: PowerState,
     /// Input VCs, flattened `[port][vnet * vcs + vc]`.
     pub inputs: Vec<InVc>,
     /// Credit counters toward the *logical* downstream per output port,
@@ -69,11 +68,9 @@ pub struct Router {
     /// True if this router has FLOV links in the Y dimension.
     pub flov_y: bool,
     /// SA stage-1 arbiter: per input port, over that port's VCs.
-    pub sa_in: Vec<RoundRobin>,
+    pub sa_in: [RoundRobin; NUM_PORTS],
     /// SA stage-2 arbiter: per output port, over input ports.
-    pub sa_out: Vec<RoundRobin>,
-    /// VA arbiter: rotates the scan origin over input VCs.
-    pub va_rr: RoundRobin,
+    pub sa_out: [RoundRobin; NUM_PORTS],
     /// Occupancy fast path: flits buffered per input port.
     pub port_occupancy: [u32; NUM_PORTS],
     /// Occupancy fast path: bit `v` of `vc_busy[p]` mirrors "the buffer of
@@ -100,17 +97,14 @@ impl Router {
         let n = NUM_PORTS * total_vcs;
         Router {
             id,
-            coord,
-            power: PowerState::Active,
             inputs: (0..n).map(|_| InVc::new(cfg.buf_depth)).collect(),
             out_credits: (0..n).map(|_| CreditCounter::new_full(cfg.buf_depth)).collect(),
             out_vc_state: vec![VcOwner::Free; n],
             latches: [None; 4],
             flov_x,
             flov_y,
-            sa_in: (0..NUM_PORTS).map(|_| RoundRobin::new(total_vcs)).collect(),
-            sa_out: (0..NUM_PORTS).map(|_| RoundRobin::new(NUM_PORTS)).collect(),
-            va_rr: RoundRobin::new(NUM_PORTS * total_vcs),
+            sa_in: std::array::from_fn(|_| RoundRobin::new(total_vcs)),
+            sa_out: std::array::from_fn(|_| RoundRobin::new(NUM_PORTS)),
             port_occupancy: [0; NUM_PORTS],
             vc_busy: [0; NUM_PORTS],
             last_local_activity: 0,
@@ -210,7 +204,6 @@ mod tests {
     #[test]
     fn new_router_is_quiescent() {
         let r = Router::new(&cfg(), 9);
-        assert_eq!(r.power, PowerState::Active);
         assert!(r.is_drained());
         assert!(r.latches_empty());
         assert_eq!(r.buffered_flits(), 0);

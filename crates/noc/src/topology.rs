@@ -2,8 +2,9 @@
 //! structural properties (edges, wraparound, Hamiltonian rings) the fabric
 //! offers. Everything above this module — link construction, routing,
 //! mechanism edge logic, the NoRD ring — consumes topology through the
-//! [`Topology`] trait (or the concrete [`AnyTopology`] dispatch enum used
-//! on the hot path), never through raw `k` arithmetic.
+//! [`Topology`] trait (or the concrete [`AnyTopology`] dispatch enum, whose
+//! answers the kernel's hot path reads from [`Adjacency`] tables), never
+//! through raw `k` arithmetic.
 //!
 //! Two neighbor views are exposed, and keeping them distinct is what makes
 //! the mechanisms correct on a torus:
@@ -371,7 +372,7 @@ impl Topology for CMesh {
 }
 
 /// Concrete dispatch over the four topologies — what the simulation kernel
-/// holds, so the hot path pays one `match` instead of a vtable call.
+/// holds (per-hop queries go through its [`Adjacency`] tables instead).
 #[derive(Clone, Debug, PartialEq)]
 pub enum AnyTopology {
     Mesh(Mesh),
@@ -447,6 +448,57 @@ impl Topology for AnyTopology {
             AnyTopology::Torus(t) => t.ring_successors(),
             AnyTopology::CMesh(t) => t.ring_successors(),
         }
+    }
+}
+
+/// "No neighbor" entry of the [`Adjacency`] tables. Never a real node id:
+/// [`Adjacency::new`] rejects grids with this many routers.
+const NO_NODE: NodeId = NodeId::MAX;
+
+/// Flat, precomputed adjacency of one topology: per node, the physical and
+/// the grid neighbor in each direction (indexed by [`Dir::index`]) and the
+/// coordinate. The kernel's per-hop queries are one load each here instead
+/// of an enum dispatch plus a div/mod on every call.
+#[derive(Clone, Debug)]
+pub struct Adjacency {
+    phys: Vec<[NodeId; 4]>,
+    grid: Vec<[NodeId; 4]>,
+    coords: Vec<Coord>,
+}
+
+impl Adjacency {
+    /// Tabulate `t`'s [`Topology::neighbor_dir`], [`Topology::grid_neighbor`]
+    /// and [`Topology::coord`] answers for every router.
+    pub fn new(t: &impl Topology) -> Adjacency {
+        let n = t.routers();
+        assert!(n < NO_NODE as usize, "{n} routers do not fit the adjacency tables");
+        let row = |f: &dyn Fn(Dir) -> Option<NodeId>| Dir::ALL.map(|d| f(d).unwrap_or(NO_NODE));
+        let ids = 0..n as NodeId;
+        Adjacency {
+            phys: ids.clone().map(|i| row(&|d| t.neighbor_dir(i, d))).collect(),
+            grid: ids.clone().map(|i| row(&|d| t.grid_neighbor(i, d))).collect(),
+            coords: ids.map(|i| t.coord(i)).collect(),
+        }
+    }
+
+    /// Physical (wrap-aware) neighbor of `node` in `d`.
+    #[inline]
+    pub fn neighbor(&self, node: NodeId, d: Dir) -> Option<NodeId> {
+        let m = self.phys[node as usize][d.index()];
+        (m != NO_NODE).then_some(m)
+    }
+
+    /// Grid (never wrapping) neighbor of `node` in `d`.
+    #[inline]
+    pub fn grid_neighbor(&self, node: NodeId, d: Dir) -> Option<NodeId> {
+        let m = self.grid[node as usize][d.index()];
+        (m != NO_NODE).then_some(m)
+    }
+
+    /// Coordinate of `node`.
+    #[inline]
+    pub fn coord(&self, node: NodeId) -> Coord {
+        self.coords[node as usize]
     }
 }
 

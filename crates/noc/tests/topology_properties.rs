@@ -3,8 +3,9 @@
 //! deterministic enumeration order — the invariants the network constructor,
 //! the chain walks, and the cache keys all lean on.
 
-use flov_noc::topology::{Topology, TopologySpec};
-use flov_noc::types::{NodeId, Port};
+use flov_noc::topology::{Adjacency, Topology, TopologySpec};
+use flov_noc::types::{Dir, NodeId, Port};
+use flov_noc::{NetworkCore, NocConfig};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -106,6 +107,27 @@ proptest! {
     }
 
     #[test]
+    fn adjacency_tables_match_topology(spec in any_spec()) {
+        // The kernel answers neighbor/coord queries from flat tables built
+        // once per network; they must agree with the topology everywhere,
+        // both standalone and as the network core reads them.
+        let t = spec.build();
+        let adj = Adjacency::new(&t);
+        let core = NetworkCore::try_new(NocConfig { topology: Some(spec), ..NocConfig::default() })
+            .expect("valid spec");
+        for n in 0..t.routers() as NodeId {
+            prop_assert_eq!(adj.coord(n), t.coord(n));
+            prop_assert_eq!(core.coord(n), t.coord(n));
+            for d in Dir::ALL {
+                prop_assert_eq!(adj.neighbor(n, d), t.neighbor_dir(n, d), "{:?} {} {:?}", spec, n, d);
+                prop_assert_eq!(adj.grid_neighbor(n, d), t.grid_neighbor(n, d));
+                prop_assert_eq!(core.neighbor(n, d), t.neighbor_dir(n, d));
+                prop_assert_eq!(core.grid_neighbor(n, d), t.grid_neighbor(n, d));
+            }
+        }
+    }
+
+    #[test]
     fn torus_wraps_and_meshes_do_not(spec in any_spec()) {
         let t = spec.build();
         // Every router on a torus has all four neighbors; a mesh corner
@@ -119,7 +141,6 @@ proptest! {
 
 #[test]
 fn grid_view_agrees_with_physical_on_meshes() {
-    use flov_noc::types::Dir;
     for spec in [
         TopologySpec::Mesh { k: 5 },
         TopologySpec::RectMesh { kx: 6, ky: 3 },
