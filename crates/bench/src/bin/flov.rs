@@ -77,10 +77,10 @@ tools:
               --out (BENCH_kernel.json)
               [--quick] [--min-cps N] [--min-skip FRAC]
               [--min-parallel-speedup X] [--out PATH]
-  bench-engine  time the batch engine end to end: cold + warm sweeps over
-              the sharded binary cache (work-stealing scheduler, indexed
-              probes) against the legacy flat-JSON layout; asserts all
-              lanes byte-identical; report to stdout and --out
+  bench-engine  time the batch engine end to end: a cold and a warm sweep
+              over the sharded binary cache (work-stealing scheduler,
+              indexed probes); asserts the warm replay is byte-identical
+              to the cold run; report to stdout and --out
               (BENCH_engine.json)
               [--quick] [--runs N] [--min-warm-probe-rate R] [--out PATH]
   fuzz        differential fuzzer: random specs through all three kernels
@@ -89,12 +89,13 @@ tools:
               results/fuzz/ and exit nonzero
               [--runs N] [--max-cycles N] [--seed S] [--out DIR]
               [--replay FILE.json]
-  cache       result-cache maintenance
-              stats | clear | verify | migrate
+  cache       result-cache maintenance (binary entries in 256 shard
+              dirs: <cache>/<2 hex>/<key>.bin)
+              stats | clear | verify
               | gc [--max-bytes N[K|M|G]] [--max-age N[s|m|h|d]]
-              (verify re-derives every entry's content hash; migrate
-              rewrites JSON entries as sharded binary, hash-preserving;
-              gc evicts oldest-first by last use)
+              (verify checks every entry's CRC and re-derives its content
+              hash; gc deletes retired <key>.json orphans, then evicts
+              oldest-first by last use)
 
 global flags: [--quick] [--cache-dir DIR] [--no-cache] [--quiet]
               (FLOV_QUIET=1 also silences progress; non-TTY stderr gets
@@ -471,13 +472,15 @@ fn main() {
                     println!("cache dir    {}", cache.dir().display());
                     println!("entries      {}", s.entries);
                     println!("total size   {} bytes", s.total_bytes);
-                    println!("  binary     {} (sharded)", s.binary_entries);
-                    println!(
-                        "  json       {} sharded, {} legacy flat",
-                        s.json_sharded, s.json_flat
-                    );
                     println!("shard dirs   {}", s.shard_dirs);
                     println!("quarantined  {} ({} bytes)", s.quarantined, s.quarantined_bytes);
+                    if s.orphans > 0 {
+                        println!(
+                            "orphans      {} ({} bytes) — retired JSON entries, \
+                             never read; gc or clear deletes them",
+                            s.orphans, s.orphan_bytes
+                        );
+                    }
                     if s.atime_bump_failures > 0 {
                         println!(
                             "atime bumps  {} failed — access times are stale \
@@ -504,17 +507,6 @@ fn main() {
                     if r.quarantined > 0 {
                         std::process::exit(1);
                     }
-                }
-                Some("migrate") => {
-                    let r = cache.migrate().unwrap_or_else(|e| {
-                        eprintln!("error: migrating cache: {e}");
-                        std::process::exit(1);
-                    });
-                    println!(
-                        "migrated {} JSON entries to binary, {} already binary, \
-                         {} resharded, {} quarantined",
-                        r.migrated, r.already_binary, r.resharded, r.quarantined
-                    );
                 }
                 Some("gc") => {
                     let opts = flov_bench::GcOptions {

@@ -4,36 +4,46 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic + format version (b"FLOVBC1\n")
+//! 0       8     magic + format version (b"FLOVBC2\n")
 //! 8       4     kernel_version, u32 LE
 //! 12      16    content hash (the cache key's 128-bit value)
 //! 28      4     spec_len, u32 LE
 //! 32      n     canonical spec JSON, UTF-8 (exact bytes the key hashes)
 //! 32+n    4     result_len, u32 LE
-//! 36+n    m     RunResult as a binary Value tree (see below)
+//! 36+n    m     RunResult, positional (see below)
 //! end-4   4     CRC-32C (Castagnoli) over every preceding byte, u32 LE
 //! ```
 //!
-//! The result section encodes the workspace serde shim's [`Value`] tree
-//! directly — one tag byte per node, zigzag-LEB128 varints for integers
-//! and lengths, raw little-endian bits for floats — so any change to
-//! `RunResult`'s fields round-trips with zero codec maintenance, floats
-//! come back bit-for-bit (including NaN payloads, which JSON cannot
-//! represent), and a warm cache probe decodes *only* the result: the spec
-//! JSON is length-skipped, never parsed. Storing the spec's exact
-//! canonical JSON bytes is what lets `flov cache verify` and `migrate`
-//! recompute the content hash without trusting the filename.
+//! The result section is positional: `RunResult`'s fields in declaration
+//! order, `PowerReport` and `DynamicEnergy` inline, with no tags and no
+//! key strings. A `u64` is a LEB128 varint and an `f64` its raw
+//! little-endian bits, so floats come back bit-for-bit (NaN payloads and
+//! `-0.0` included, which JSON cannot represent). A `bool` is one byte, 0
+//! or 1. The mechanism string and the timeline are a varint length
+//! followed by the body. A warm cache probe decodes *only* this section:
+//! the spec JSON is length-skipped, never parsed. Storing the spec's
+//! exact canonical JSON bytes is what lets `flov cache verify` recompute
+//! the content hash without trusting the filename.
+//!
+//! The encoder destructures `RunResult` exhaustively and the decoder
+//! builds it with struct literals, so a new field fails to compile until
+//! the codec handles it; changing the layout bumps the digit in
+//! [`MAGIC`]. Every format version shares the header, so an entry of
+//! another version is still CRC- and hash-checked, and reads as a plain
+//! miss (like one of another kernel version) that the next write of its
+//! key overwrites.
 //!
 //! Every decode path is bounds-checked and returns [`BinError`] instead of
 //! panicking: a truncated or bit-flipped entry must read as a cache miss
 //! (the cache quarantines it), never as a crash.
 
 use crate::spec::RunResult;
-use serde::{Deserialize, Serialize, Value};
+use flov_noc::stats::IntervalSample;
+use flov_power::model::{DynamicEnergy, PowerReport};
 
-/// Magic + format version. Bump the trailing digit for incompatible
-/// layout changes; readers reject anything else as corrupt.
-pub const MAGIC: [u8; 8] = *b"FLOVBC1\n";
+/// Magic + format version. Bump the digit (byte 6) for any change to the
+/// result layout; entries carrying another digit read as misses.
+pub const MAGIC: [u8; 8] = *b"FLOVBC2\n";
 
 /// Fixed-size prefix before the spec JSON.
 const HEADER_LEN: usize = 8 + 4 + 16 + 4;
@@ -45,6 +55,13 @@ const MIN_LEN: usize = HEADER_LEN + 4 + 4;
 /// offending structure for `flov cache verify` output.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BinError(pub String);
+
+impl BinError {
+    /// Prefix the message with the field being decoded.
+    fn at(self, field: &str) -> BinError {
+        BinError(format!("{field}: {}", self.0))
+    }
+}
 
 impl std::fmt::Display for BinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -153,18 +170,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_sw(bytes)
 }
 
-// ------------------------------------------------------------ Value codec
+// ---------------------------------------------------------------- varints
 
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_FLOAT: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_SEQ: u8 = 6;
-const TAG_MAP: u8 = 7;
-
-pub(crate) fn write_uvarint(mut v: u128, out: &mut Vec<u8>) {
+pub(crate) fn write_uvarint(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -174,14 +182,6 @@ pub(crate) fn write_uvarint(mut v: u128, out: &mut Vec<u8>) {
         }
         out.push(byte | 0x80);
     }
-}
-
-fn zigzag(v: i128) -> u128 {
-    ((v << 1) ^ (v >> 127)) as u128
-}
-
-fn unzigzag(v: u128) -> i128 {
-    ((v >> 1) as i128) ^ -((v & 1) as i128)
 }
 
 pub(crate) struct Reader<'a> {
@@ -206,19 +206,26 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn uvarint(&mut self) -> Result<u128, BinError> {
-        let mut v: u128 = 0;
-        for shift in (0..).step_by(7) {
-            if shift >= 128 {
-                return err("varint overflows u128");
+    /// A LEB128 varint that must fit in a `u64`. The result decoder reads
+    /// three per timeline sample, so bytes come straight from the slice
+    /// rather than through [`Reader::take`].
+    pub(crate) fn uvarint(&mut self) -> Result<u64, BinError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return err(format!("truncated varint at offset {}", self.pos));
+            };
+            self.pos += 1;
+            let bits = u64::from(b & 0x7F);
+            if bits << shift >> shift != bits {
+                break;
             }
-            let b = self.byte()?;
-            v |= ((b & 0x7F) as u128) << shift;
+            v |= bits << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
             }
         }
-        unreachable!()
+        err("varint overflows u64")
     }
 
     /// A length that must fit in the remaining input (each encoded element
@@ -226,101 +233,222 @@ impl<'a> Reader<'a> {
     /// allocations before the read fails.
     pub(crate) fn bounded_len(&mut self) -> Result<usize, BinError> {
         let n = self.uvarint()?;
-        let remaining = (self.bytes.len() - self.pos) as u128;
-        if n > remaining {
-            return err(format!("length {n} exceeds {remaining} remaining bytes"));
+        let remaining = self.bytes.len() - self.pos;
+        match usize::try_from(n) {
+            Ok(n) if n <= remaining => Ok(n),
+            _ => err(format!("length {n} exceeds {remaining} remaining bytes")),
         }
-        Ok(n as usize)
+    }
+
+    // The result decoder's readers: each names its field in the error.
+
+    fn u64(&mut self, field: &str) -> Result<u64, BinError> {
+        self.uvarint().map_err(|e| e.at(field))
+    }
+
+    fn f64(&mut self, field: &str) -> Result<f64, BinError> {
+        let b = self.take(8).map_err(|e| e.at(field))?;
+        Ok(f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+    }
+
+    fn bool(&mut self, field: &str) -> Result<bool, BinError> {
+        match self.byte().map_err(|e| e.at(field))? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => err(format!("{field}: bool byte {b} is neither 0 nor 1")),
+        }
+    }
+
+    fn u64s<const N: usize>(&mut self, field: &str) -> Result<[u64; N], BinError> {
+        let mut out = [0; N];
+        for v in &mut out {
+            *v = self.u64(field)?;
+        }
+        Ok(out)
+    }
+
+    fn f64s<const N: usize>(&mut self, field: &str) -> Result<[f64; N], BinError> {
+        let mut out = [0.0; N];
+        for v in &mut out {
+            *v = self.f64(field)?;
+        }
+        Ok(out)
     }
 }
 
-/// Append the binary encoding of `v` to `out`.
-pub fn write_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            write_uvarint(zigzag(*i), out);
-        }
-        Value::Float(x) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            write_uvarint(s.len() as u128, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            write_uvarint(items.len() as u128, out);
-            for item in items {
-                write_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            write_uvarint(entries.len() as u128, out);
-            for (k, v) in entries {
-                write_uvarint(k.len() as u128, out);
-                out.extend_from_slice(k.as_bytes());
-                write_value(v, out);
-            }
-        }
+// ------------------------------------------------------- RunResult codec
+
+fn write_u64s(vs: &[u64], out: &mut Vec<u8>) {
+    for &v in vs {
+        write_uvarint(v, out);
     }
 }
 
-fn read_str(r: &mut Reader) -> Result<String, BinError> {
-    let n = r.bounded_len()?;
-    let bytes = r.take(n)?;
-    match std::str::from_utf8(bytes) {
-        Ok(s) => Ok(s.to_string()),
-        Err(e) => err(format!("invalid UTF-8 in string: {e}")),
+fn write_f64s(vs: &[f64], out: &mut Vec<u8>) {
+    for v in vs {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
-fn read_value(r: &mut Reader) -> Result<Value, BinError> {
-    match r.byte()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(unzigzag(r.uvarint()?))),
-        TAG_FLOAT => {
-            let bits = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
-            Ok(Value::Float(f64::from_bits(bits)))
-        }
-        TAG_STR => Ok(Value::Str(read_str(r)?)),
-        TAG_SEQ => {
-            let n = r.bounded_len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(read_value(r)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let n = r.bounded_len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = read_str(r)?;
-                entries.push((k, read_value(r)?));
-            }
-            Ok(Value::Map(entries))
-        }
-        t => err(format!("unknown value tag {t}")),
+/// Append `r`'s positional encoding to `out`. The destructuring is
+/// exhaustive: a new field fails to compile here until it is written.
+fn write_result(r: &RunResult, out: &mut Vec<u8>) {
+    let RunResult {
+        mechanism,
+        packets,
+        avg_latency,
+        max_latency,
+        latency_percentiles: (p50, p95, p99),
+        breakdown,
+        avg_hops,
+        avg_flov_hops,
+        escape_packets,
+        escape_diversions,
+        throughput,
+        power,
+        runtime_cycles,
+        stalled_injection_cycles,
+        gating_events,
+        flov_latch_flits,
+        ring_flits,
+        vnet_latency,
+        timeline,
+        delivered_all,
+    } = r;
+    let PowerReport {
+        cycles,
+        seconds,
+        static_w,
+        static_router_w,
+        static_link_w,
+        dynamic_w,
+        dynamic_energy,
+        total_w,
+    } = *power;
+    let DynamicEnergy {
+        buffers,
+        ring,
+        crossbar,
+        arbitration,
+        links,
+        flov_latches,
+        credits,
+        handshake,
+        gating,
+    } = dynamic_energy;
+
+    write_uvarint(mechanism.len() as u64, out);
+    out.extend_from_slice(mechanism.as_bytes());
+    write_u64s(&[*packets], out);
+    write_f64s(&[*avg_latency], out);
+    write_u64s(&[*max_latency, *p50, *p95, *p99], out);
+    write_f64s(breakdown, out);
+    write_f64s(&[*avg_hops, *avg_flov_hops], out);
+    write_u64s(&[*escape_packets, *escape_diversions], out);
+    write_f64s(&[*throughput], out);
+    write_u64s(&[cycles], out);
+    write_f64s(&[seconds, static_w, static_router_w, static_link_w, dynamic_w], out);
+    write_f64s(
+        &[buffers, ring, crossbar, arbitration, links, flov_latches, credits, handshake, gating],
+        out,
+    );
+    write_f64s(&[total_w], out);
+    write_u64s(
+        &[
+            *runtime_cycles,
+            *stalled_injection_cycles,
+            *gating_events,
+            *flov_latch_flits,
+            *ring_flits,
+        ],
+        out,
+    );
+    for &(n, latency) in vnet_latency {
+        write_u64s(&[n], out);
+        write_f64s(&[latency], out);
     }
+    write_uvarint(timeline.len() as u64, out);
+    for &IntervalSample { start, packets, latency_sum } in timeline {
+        write_u64s(&[start, packets, latency_sum], out);
+    }
+    out.push(u8::from(*delivered_all));
 }
 
-/// Decode one binary `Value` from `bytes` (must consume them exactly).
-pub fn value_from_bytes(bytes: &[u8]) -> Result<Value, BinError> {
+/// Decode a result section written by [`write_result`]; it must be
+/// consumed exactly. Struct literals evaluate their fields in source
+/// order, which is the layout's order, and fail to compile when a field
+/// is added.
+fn read_result(bytes: &[u8]) -> Result<RunResult, BinError> {
     let mut r = Reader { bytes, pos: 0 };
-    let v = read_value(&mut r)?;
+    let mechanism = {
+        let n = r.bounded_len().map_err(|e| e.at("mechanism"))?;
+        match std::str::from_utf8(r.take(n).map_err(|e| e.at("mechanism"))?) {
+            Ok(s) => s.to_string(),
+            Err(e) => return err(format!("mechanism: invalid UTF-8: {e}")),
+        }
+    };
+    let result = RunResult {
+        mechanism,
+        packets: r.u64("packets")?,
+        avg_latency: r.f64("avg_latency")?,
+        max_latency: r.u64("max_latency")?,
+        latency_percentiles: r.u64s("latency_percentiles")?.into(),
+        breakdown: r.f64s("breakdown")?,
+        avg_hops: r.f64("avg_hops")?,
+        avg_flov_hops: r.f64("avg_flov_hops")?,
+        escape_packets: r.u64("escape_packets")?,
+        escape_diversions: r.u64("escape_diversions")?,
+        throughput: r.f64("throughput")?,
+        power: PowerReport {
+            cycles: r.u64("power.cycles")?,
+            seconds: r.f64("power.seconds")?,
+            static_w: r.f64("power.static_w")?,
+            static_router_w: r.f64("power.static_router_w")?,
+            static_link_w: r.f64("power.static_link_w")?,
+            dynamic_w: r.f64("power.dynamic_w")?,
+            dynamic_energy: DynamicEnergy {
+                buffers: r.f64("power.dynamic_energy.buffers")?,
+                ring: r.f64("power.dynamic_energy.ring")?,
+                crossbar: r.f64("power.dynamic_energy.crossbar")?,
+                arbitration: r.f64("power.dynamic_energy.arbitration")?,
+                links: r.f64("power.dynamic_energy.links")?,
+                flov_latches: r.f64("power.dynamic_energy.flov_latches")?,
+                credits: r.f64("power.dynamic_energy.credits")?,
+                handshake: r.f64("power.dynamic_energy.handshake")?,
+                gating: r.f64("power.dynamic_energy.gating")?,
+            },
+            total_w: r.f64("power.total_w")?,
+        },
+        runtime_cycles: r.u64("runtime_cycles")?,
+        stalled_injection_cycles: r.u64("stalled_injection_cycles")?,
+        gating_events: r.u64("gating_events")?,
+        flov_latch_flits: r.u64("flov_latch_flits")?,
+        ring_flits: r.u64("ring_flits")?,
+        vnet_latency: {
+            let mut v = [(0, 0.0); 3];
+            for slot in &mut v {
+                *slot = (r.u64("vnet_latency")?, r.f64("vnet_latency")?);
+            }
+            v
+        },
+        timeline: {
+            let n = r.bounded_len().map_err(|e| e.at("timeline"))?;
+            let mut samples = Vec::with_capacity(n);
+            for _ in 0..n {
+                samples.push(IntervalSample {
+                    start: r.u64("timeline")?,
+                    packets: r.u64("timeline")?,
+                    latency_sum: r.u64("timeline")?,
+                });
+            }
+            samples
+        },
+        delivered_all: r.bool("delivered_all")?,
+    };
     if r.pos != bytes.len() {
-        return err(format!("{} trailing bytes after value", bytes.len() - r.pos));
+        return err(format!("{} trailing bytes after the result", bytes.len() - r.pos));
     }
-    Ok(v)
+    Ok(result)
 }
 
 // --------------------------------------------------------- entry container
@@ -356,7 +484,7 @@ pub fn encode_entry(
     out.extend_from_slice(spec_json.as_bytes());
     let result_at = out.len();
     out.extend_from_slice(&[0u8; 4]); // result_len back-patched below
-    write_value(&result.to_value(), &mut out);
+    write_result(result, &mut out);
     let result_len = (out.len() - result_at - 4) as u32;
     out[result_at..result_at + 4].copy_from_slice(&result_len.to_le_bytes());
     let crc = crc32(&out);
@@ -364,7 +492,7 @@ pub fn encode_entry(
     out
 }
 
-/// A fully decoded binary entry (`flov cache verify` / `migrate` path).
+/// A fully decoded binary entry (the `flov cache verify` path).
 #[derive(Clone, Debug)]
 pub struct BinEntry {
     pub kernel_version: u32,
@@ -372,19 +500,28 @@ pub struct BinEntry {
     pub key: String,
     /// The canonical spec JSON exactly as hashed.
     pub spec_json: String,
-    pub result: RunResult,
+    /// `None` for an entry of another format version: its header and CRC
+    /// check out, but its result section is not this decoder's layout.
+    pub result: Option<RunResult>,
 }
 
-/// Section boundaries of a validated container:
-/// `(kernel_version, key, spec_range, result_range)`.
-type Frame = (u32, [u8; 16], std::ops::Range<usize>, std::ops::Range<usize>);
+/// A validated container's header fields and section boundaries.
+struct Frame {
+    /// Whether the magic carries this build's format version.
+    current: bool,
+    kernel_version: u32,
+    hash: [u8; 16],
+    spec: std::ops::Range<usize>,
+    result: std::ops::Range<usize>,
+}
 
 /// Validate the container (magic, CRC, lengths) and return its [`Frame`].
+/// Any format version is accepted: the header is the same for all.
 fn frame(bytes: &[u8]) -> Result<Frame, BinError> {
     if bytes.len() < MIN_LEN {
         return err(format!("entry too short ({} bytes)", bytes.len()));
     }
-    if bytes[..8] != MAGIC {
+    if bytes[..6] != MAGIC[..6] || bytes[7] != MAGIC[7] {
         return err("bad magic (not a FLOV binary cache entry)");
     }
     let body = &bytes[..bytes.len() - 4];
@@ -411,320 +548,52 @@ fn frame(bytes: &[u8]) -> Result<Frame, BinError> {
             body.len() - result_start
         ));
     }
-    Ok((kernel_version, hash, spec_start..spec_end, result_start..result_start + result_len))
+    Ok(Frame {
+        current: bytes[6] == MAGIC[6],
+        kernel_version,
+        hash,
+        spec: spec_start..spec_end,
+        result: result_start..result_start + result_len,
+    })
 }
 
 fn hex(hash: &[u8; 16]) -> String {
     hash.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Fast cache-probe decode: verify the container, check the stored
-/// content hash against `expect_key`, and decode *only* the result
-/// section (the spec JSON is skipped, not parsed).
+/// Cache-probe decode: verify the container, check the stored content
+/// hash against `expect_key`, and decode *only* the result section (the
+/// spec JSON is skipped, not parsed).
 ///
-/// `Ok(None)` means a well-formed entry for a different kernel version —
-/// a plain miss. `Err` means corruption; the caller quarantines the file.
+/// `Ok(None)` means a well-formed entry of another format or kernel
+/// version — a plain miss. `Err` means corruption; the caller
+/// quarantines the file.
 pub fn decode_result(
     bytes: &[u8],
     expect_key: &str,
     expect_kernel_version: u32,
 ) -> Result<Option<RunResult>, BinError> {
-    let (kernel_version, hash, _spec, result) = frame(bytes)?;
+    let f = frame(bytes)?;
     match key_bytes(expect_key) {
-        Some(expect) if expect == hash => {}
-        _ => return err(format!("stored hash {} does not match key {expect_key}", hex(&hash))),
+        Some(expect) if expect == f.hash => {}
+        _ => return err(format!("stored hash {} does not match key {expect_key}", hex(&f.hash))),
     }
-    if kernel_version != expect_kernel_version {
+    if !f.current || f.kernel_version != expect_kernel_version {
         return Ok(None);
     }
-    // The layout-pinned direct decoder first (an order of magnitude
-    // cheaper than materializing the Value tree); any mismatch falls back
-    // to the generic path, which also produces the precise error message
-    // for genuinely corrupt payloads.
-    if let Some(r) = fast::run_result(&bytes[result.clone()]) {
-        return Ok(Some(r));
-    }
-    let value = value_from_bytes(&bytes[result])?;
-    match RunResult::from_value(&value) {
-        Ok(r) => Ok(Some(r)),
-        Err(e) => err(format!("result does not deserialize: {e}")),
-    }
+    read_result(&bytes[f.result]).map(Some)
 }
 
-/// Zero-allocation-per-node direct decode of a [`RunResult`] from the
-/// binary Value encoding. The warm-sweep probe path spends nearly all its
-/// time here, so instead of building the intermediate `Value` tree (one
-/// heap allocation per map key and per node — tens of microseconds for a
-/// dense timeline), this module walks the bytes once, comparing field
-/// names in place and writing straight into the struct.
-///
-/// The layout is pinned to the serde shim's derive: structs encode as
-/// declaration-ordered maps, so fields arrive in a known order. Any
-/// deviation — extra field, reordered field, unexpected tag — returns
-/// `None` and [`decode_result`] falls back to the generic `Value` path,
-/// which stays the source of truth for correctness (the proptest suite
-/// asserts the two paths agree bit-for-bit).
-mod fast {
-    use super::{unzigzag, TAG_FLOAT, TAG_INT, TAG_MAP, TAG_SEQ, TAG_STR};
-    use crate::spec::RunResult;
-    use flov_noc::stats::IntervalSample;
-    use flov_power::model::{DynamicEnergy, PowerReport};
-
-    struct Cur<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cur<'a> {
-        fn byte(&mut self) -> Option<u8> {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            Some(b)
-        }
-
-        fn uvarint(&mut self) -> Option<u128> {
-            let mut v: u128 = 0;
-            for shift in (0..128).step_by(7) {
-                let b = self.byte()?;
-                v |= ((b & 0x7F) as u128) << shift;
-                if b & 0x80 == 0 {
-                    return Some(v);
-                }
-            }
-            None
-        }
-
-        fn tag(&mut self, t: u8) -> Option<()> {
-            (self.byte()? == t).then_some(())
-        }
-
-        /// A map header with exactly `n` entries.
-        fn map(&mut self, n: usize) -> Option<()> {
-            self.tag(TAG_MAP)?;
-            (self.uvarint()? == n as u128).then_some(())
-        }
-
-        /// A seq header with exactly `n` elements.
-        fn seq(&mut self, n: usize) -> Option<()> {
-            self.tag(TAG_SEQ)?;
-            (self.uvarint()? == n as u128).then_some(())
-        }
-
-        /// A seq header of any length.
-        fn seq_len(&mut self) -> Option<usize> {
-            self.tag(TAG_SEQ)?;
-            let n = self.uvarint()?;
-            // Each element is at least one byte.
-            (n <= (self.bytes.len() - self.pos) as u128).then_some(n as usize)
-        }
-
-        /// A map key that must equal `name`, compared in place.
-        fn key(&mut self, name: &str) -> Option<()> {
-            let n = self.uvarint()?;
-            let end = self.pos.checked_add(usize::try_from(n).ok()?)?;
-            let s = self.bytes.get(self.pos..end)?;
-            if s == name.as_bytes() {
-                self.pos = end;
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        fn u64_raw(&mut self) -> Option<u64> {
-            self.tag(TAG_INT)?;
-            u64::try_from(unzigzag(self.uvarint()?)).ok()
-        }
-
-        fn f64_raw(&mut self) -> Option<f64> {
-            self.tag(TAG_FLOAT)?;
-            let end = self.pos.checked_add(8)?;
-            let bits = u64::from_le_bytes(self.bytes.get(self.pos..end)?.try_into().ok()?);
-            self.pos = end;
-            Some(f64::from_bits(bits))
-        }
-
-        fn u64(&mut self, name: &str) -> Option<u64> {
-            self.key(name)?;
-            self.u64_raw()
-        }
-
-        fn f64(&mut self, name: &str) -> Option<f64> {
-            self.key(name)?;
-            self.f64_raw()
-        }
-
-        fn string(&mut self, name: &str) -> Option<String> {
-            self.key(name)?;
-            self.tag(TAG_STR)?;
-            let n = self.uvarint()?;
-            let end = self.pos.checked_add(usize::try_from(n).ok()?)?;
-            let s = std::str::from_utf8(self.bytes.get(self.pos..end)?).ok()?;
-            self.pos = end;
-            Some(s.to_string())
-        }
-
-        fn bool(&mut self, name: &str) -> Option<bool> {
-            self.key(name)?;
-            match self.byte()? {
-                super::TAG_FALSE => Some(false),
-                super::TAG_TRUE => Some(true),
-                _ => None,
-            }
-        }
-    }
-
-    fn dynamic_energy(c: &mut Cur) -> Option<DynamicEnergy> {
-        c.map(9)?;
-        Some(DynamicEnergy {
-            buffers: c.f64("buffers")?,
-            ring: c.f64("ring")?,
-            crossbar: c.f64("crossbar")?,
-            arbitration: c.f64("arbitration")?,
-            links: c.f64("links")?,
-            flov_latches: c.f64("flov_latches")?,
-            credits: c.f64("credits")?,
-            handshake: c.f64("handshake")?,
-            gating: c.f64("gating")?,
-        })
-    }
-
-    fn power(c: &mut Cur) -> Option<PowerReport> {
-        c.key("power")?;
-        c.map(8)?;
-        Some(PowerReport {
-            cycles: c.u64("cycles")?,
-            seconds: c.f64("seconds")?,
-            static_w: c.f64("static_w")?,
-            static_router_w: c.f64("static_router_w")?,
-            static_link_w: c.f64("static_link_w")?,
-            dynamic_w: c.f64("dynamic_w")?,
-            dynamic_energy: {
-                c.key("dynamic_energy")?;
-                dynamic_energy(c)?
-            },
-            total_w: c.f64("total_w")?,
-        })
-    }
-
-    // Every timeline sample serializes to the same byte pattern apart
-    // from the three varint values, so the hot loop (a dense sweep entry
-    // carries hundreds to thousands of samples) matches the fixed runs —
-    // map header, length-prefixed key, int tag — with single constant
-    // memcmps instead of re-parsing each key.
-    const TL_START: &[u8] = &[TAG_MAP, 3, 5, b's', b't', b'a', b'r', b't', TAG_INT];
-    const TL_PACKETS: &[u8] = &[7, b'p', b'a', b'c', b'k', b'e', b't', b's', TAG_INT];
-    const TL_LATENCY: &[u8] =
-        &[11, b'l', b'a', b't', b'e', b'n', b'c', b'y', b'_', b's', b'u', b'm', TAG_INT];
-
-    impl<'a> Cur<'a> {
-        fn lit(&mut self, pat: &[u8]) -> Option<()> {
-            let end = self.pos.checked_add(pat.len())?;
-            if self.bytes.get(self.pos..end)? == pat {
-                self.pos = end;
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        /// The varint payload of an already-tagged non-negative int,
-        /// accumulated in u64 (zigzag of a u64 needs at most 65 bits;
-        /// anything wider than 63 bits takes the exact u128 path).
-        fn int_u64(&mut self) -> Option<u64> {
-            let mut v: u64 = 0;
-            for shift in (0..63).step_by(7) {
-                let b = self.byte()?;
-                v |= ((b & 0x7F) as u64) << shift;
-                if b & 0x80 == 0 {
-                    // Zigzag: even = non-negative.
-                    return (v & 1 == 0).then_some(v >> 1);
-                }
-            }
-            self.pos -= 9;
-            u64::try_from(super::unzigzag(self.uvarint()?)).ok()
-        }
-    }
-
-    fn timeline(c: &mut Cur) -> Option<Vec<IntervalSample>> {
-        c.key("timeline")?;
-        let n = c.seq_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            c.lit(TL_START)?;
-            let start = c.int_u64()?;
-            c.lit(TL_PACKETS)?;
-            let packets = c.int_u64()?;
-            c.lit(TL_LATENCY)?;
-            let latency_sum = c.int_u64()?;
-            out.push(IntervalSample { start, packets, latency_sum });
-        }
-        Some(out)
-    }
-
-    /// Decode a complete `RunResult`; `None` on any layout mismatch.
-    pub(super) fn run_result(bytes: &[u8]) -> Option<RunResult> {
-        let mut c = Cur { bytes, pos: 0 };
-        c.map(20)?;
-        let r = RunResult {
-            mechanism: c.string("mechanism")?,
-            packets: c.u64("packets")?,
-            avg_latency: c.f64("avg_latency")?,
-            max_latency: c.u64("max_latency")?,
-            latency_percentiles: {
-                c.key("latency_percentiles")?;
-                c.seq(3)?;
-                (c.u64_raw()?, c.u64_raw()?, c.u64_raw()?)
-            },
-            breakdown: {
-                c.key("breakdown")?;
-                c.seq(5)?;
-                [c.f64_raw()?, c.f64_raw()?, c.f64_raw()?, c.f64_raw()?, c.f64_raw()?]
-            },
-            avg_hops: c.f64("avg_hops")?,
-            avg_flov_hops: c.f64("avg_flov_hops")?,
-            escape_packets: c.u64("escape_packets")?,
-            escape_diversions: c.u64("escape_diversions")?,
-            throughput: c.f64("throughput")?,
-            power: power(&mut c)?,
-            runtime_cycles: c.u64("runtime_cycles")?,
-            stalled_injection_cycles: c.u64("stalled_injection_cycles")?,
-            gating_events: c.u64("gating_events")?,
-            flov_latch_flits: c.u64("flov_latch_flits")?,
-            ring_flits: c.u64("ring_flits")?,
-            vnet_latency: {
-                c.key("vnet_latency")?;
-                c.seq(3)?;
-                let mut v = [(0u64, 0f64); 3];
-                for slot in &mut v {
-                    c.seq(2)?;
-                    *slot = (c.u64_raw()?, c.f64_raw()?);
-                }
-                v
-            },
-            timeline: timeline(&mut c)?,
-            delivered_all: c.bool("delivered_all")?,
-        };
-        // The result section must be consumed exactly; trailing bytes
-        // mean a layout this decoder does not understand.
-        (c.pos == bytes.len()).then_some(r)
-    }
-}
-
-/// Full decode for `verify` and `migrate`: every section parsed, the
-/// spec JSON returned verbatim so the caller can recompute the key.
+/// Full decode for `verify`: every section parsed, the spec JSON returned
+/// verbatim so the caller can recompute the key.
 pub fn decode_entry(bytes: &[u8]) -> Result<BinEntry, BinError> {
-    let (kernel_version, hash, spec, result) = frame(bytes)?;
-    let spec_json = match std::str::from_utf8(&bytes[spec]) {
+    let f = frame(bytes)?;
+    let spec_json = match std::str::from_utf8(&bytes[f.spec]) {
         Ok(s) => s.to_string(),
         Err(e) => return err(format!("spec JSON is not UTF-8: {e}")),
     };
-    let value = value_from_bytes(&bytes[result])?;
-    let result = match RunResult::from_value(&value) {
-        Ok(r) => r,
-        Err(e) => return err(format!("result does not deserialize: {e}")),
-    };
-    Ok(BinEntry { kernel_version, key: hex(&hash), spec_json, result })
+    let result = if f.current { Some(read_result(&bytes[f.result])?) } else { None };
+    Ok(BinEntry { kernel_version: f.kernel_version, key: hex(&f.hash), spec_json, result })
 }
 
 #[cfg(test)]
@@ -740,62 +609,22 @@ mod tests {
 
     #[test]
     fn varints_roundtrip_extremes() {
-        for v in [
-            0i128,
-            1,
-            -1,
-            63,
-            -64,
-            i128::from(u64::MAX),
-            -i128::from(u64::MAX),
-            i128::MAX,
-            i128::MIN,
-        ] {
+        for v in [0u64, 1, 127, 128, u64::from(u32::MAX), u64::MAX] {
             let mut buf = Vec::new();
-            write_uvarint(zigzag(v), &mut buf);
+            write_uvarint(v, &mut buf);
             let mut r = Reader { bytes: &buf, pos: 0 };
-            assert_eq!(unzigzag(r.uvarint().unwrap()), v, "varint roundtrip for {v}");
+            assert_eq!(r.uvarint().unwrap(), v, "varint roundtrip for {v}");
             assert_eq!(r.pos, buf.len());
         }
-    }
-
-    #[test]
-    fn values_roundtrip_bit_exactly() {
-        let v = Value::Map(vec![
-            ("s".into(), Value::Str("héllo\n\"".into())),
-            ("neg_zero".into(), Value::Float(-0.0)),
-            ("nan".into(), Value::Float(f64::NAN)),
-            ("big".into(), Value::Int(i128::from(u64::MAX))),
-            ("seq".into(), Value::Seq(vec![Value::Null, Value::Bool(true), Value::Bool(false)])),
-            ("empty".into(), Value::Map(vec![])),
-        ]);
-        let mut buf = Vec::new();
-        write_value(&v, &mut buf);
-        let back = value_from_bytes(&buf).unwrap();
-        // PartialEq on floats would reject NaN; compare structurally.
-        fn same(a: &Value, b: &Value) -> bool {
-            match (a, b) {
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (Value::Seq(x), Value::Seq(y)) => {
-                    x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same(a, b))
-                }
-                (Value::Map(x), Value::Map(y)) => {
-                    x.len() == y.len()
-                        && x.iter().zip(y).all(|((ka, va), (kb, vb))| ka == kb && same(va, vb))
-                }
-                (a, b) => a == b,
-            }
-        }
-        assert!(same(&v, &back));
-    }
-
-    #[test]
-    fn truncated_values_error_cleanly() {
-        let v = Value::Seq(vec![Value::Int(7); 20]);
-        let mut buf = Vec::new();
-        write_value(&v, &mut buf);
-        for cut in 0..buf.len() {
-            assert!(value_from_bytes(&buf[..cut]).is_err(), "truncation at {cut} must error");
+        // u64::MAX with one more bit in the tenth byte, and an eleven-byte
+        // varint, both overflow; the field reader names its field.
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x03);
+        let mut long = vec![0x80; 10];
+        long.push(0x00);
+        for bytes in [wide, long] {
+            let mut r = Reader { bytes: &bytes, pos: 0 };
+            assert_eq!(r.u64("f").unwrap_err().0, "f: varint overflows u64");
         }
     }
 
@@ -808,5 +637,89 @@ mod tests {
         assert_eq!(hex(&bytes), key);
         assert!(key_bytes("short").is_none());
         assert!(key_bytes("zz ff102030405060708090a0b0c0d0e0").is_none());
+    }
+
+    /// A real simulated result, encoded as a result section.
+    fn real_result_section() -> (RunResult, Vec<u8>) {
+        let spec = crate::RunSpec::builder()
+            .k(2)
+            .seed(3)
+            .warmup(50)
+            .cycles(300)
+            .timeline_width(20)
+            .drain(5_000)
+            .build();
+        let result = crate::run_kernel(&spec, crate::KernelMode::ActiveSet);
+        assert!(!result.timeline.is_empty(), "the fixture must exercise the timeline");
+        let mut bytes = Vec::new();
+        write_result(&result, &mut bytes);
+        (result, bytes)
+    }
+
+    /// Dotted paths of `v`'s object members (`power.dynamic_energy.ring`);
+    /// arrays are leaves, as the decoder names them.
+    fn field_names(v: &serde_json::Value, prefix: &str, out: &mut Vec<String>) {
+        match v {
+            serde_json::Value::Map(m) => {
+                for (k, v) in m {
+                    field_names(v, &format!("{prefix}{k}."), out);
+                }
+            }
+            _ => out.push(prefix.trim_end_matches('.').to_string()),
+        }
+    }
+
+    #[test]
+    fn result_section_roundtrips_and_every_truncation_errors() {
+        let (mut result, _) = real_result_section();
+        // JSON cannot carry these; the raw-bits encoding must.
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        result.avg_hops = nan;
+        result.throughput = -0.0;
+        let mut bytes = Vec::new();
+        write_result(&result, &mut bytes);
+        let back = read_result(&bytes).unwrap();
+        assert_eq!(back.avg_hops.to_bits(), nan.to_bits(), "NaN payload lost");
+        assert_eq!(back.throughput.to_bits(), (-0.0f64).to_bits(), "-0.0 lost");
+        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&result).unwrap());
+
+        let mut fields = Vec::new();
+        field_names(&serde_json::to_value(&result), "", &mut fields);
+        for cut in 0..bytes.len() {
+            let e = read_result(&bytes[..cut]).expect_err("a truncation must error");
+            let named = e.0.split_once(": ").is_some_and(|(f, _)| fields.iter().any(|n| n == f));
+            assert!(named, "truncation at {cut}: error names no field: {e}");
+        }
+    }
+
+    #[test]
+    fn huge_timeline_length_errors_without_allocating() {
+        let (mut result, _) = real_result_section();
+        result.timeline.clear();
+        let mut bytes = Vec::new();
+        write_result(&result, &mut bytes);
+        // An empty timeline encodes as one 0 length byte before the bool.
+        let at = bytes.len() - 2;
+        assert_eq!(bytes[at], 0);
+        let mut forged = bytes[..at].to_vec();
+        write_uvarint(u64::MAX - 1, &mut forged);
+        forged.push(1);
+        // bounded_len rejects the count before any Vec is sized by it.
+        let e = read_result(&forged).unwrap_err();
+        assert!(e.0.starts_with("timeline: length"), "{e}");
+    }
+
+    #[test]
+    fn bad_bool_byte_and_trailing_byte_error() {
+        let (_, bytes) = real_result_section();
+        let mut bad_bool = bytes.clone();
+        *bad_bool.last_mut().unwrap() = 2;
+        let e = read_result(&bad_bool).unwrap_err();
+        assert_eq!(e.0, "delivered_all: bool byte 2 is neither 0 nor 1");
+
+        let mut trailing = bytes;
+        trailing.push(0);
+        let e = read_result(&trailing).unwrap_err();
+        assert_eq!(e.0, "1 trailing bytes after the result");
     }
 }

@@ -12,23 +12,25 @@
 //! Layout: entries fan out into 256 hash-prefix shard subdirectories
 //! (`<dir>/<first two hex chars>/<key>.bin`), created lazily and written
 //! atomically (temp file + same-directory rename), so a killed sweep
-//! never leaves a partial entry behind. The default on-disk format is the
-//! compact binary container of [`crate::binfmt`]; JSON entries — sharded
-//! or in the legacy flat layout the seed engine wrote — remain fully
-//! readable, and `flov cache migrate` upgrades them in place without
-//! changing their content hashes.
+//! never leaves a partial entry behind. Every entry is the binary
+//! container of [`crate::binfmt`], the one on-disk format. An entry of
+//! another format version is a plain miss, like one of another kernel
+//! version, and the next write of its key replaces it.
 //!
 //! Probing is O(1): the first probe scans the directory tree once into an
 //! in-memory index (key → path), after which a warm 10k-run sweep never
 //! stats a file that is not there. Corrupt or truncated entries (bad
-//! magic, CRC mismatch, unparseable JSON) are treated as misses and moved
-//! to `<dir>/quarantine/` for inspection — never a panic. Cache hits bump
-//! the entry's access time (best-effort) so `flov cache gc` can evict
-//! least-recently-used entries first.
+//! magic, CRC mismatch, undecodable result) are treated as misses and
+//! moved to `<dir>/quarantine/` for inspection — never a panic. Cache
+//! hits bump the entry's access time (best-effort) so `flov cache gc` can
+//! evict least-recently-used entries first.
+//!
+//! Entries of the retired JSON format (`<key>.json`, in a shard or flat in
+//! the cache root) are orphans: no probe reads them, `stats` counts them,
+//! and `gc` and `clear` delete them.
 
 use crate::binfmt;
 use crate::spec::{RunResult, RunSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Write};
@@ -42,40 +44,27 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// What one cache file holds: enough to audit a result without re-running
 /// it (the spec is stored alongside, not just its hash).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CacheEntry {
     pub kernel_version: u32,
     pub spec: RunSpec,
     pub result: RunResult,
 }
 
-/// On-disk encoding for newly written entries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheFormat {
-    /// Compact binary container ([`crate::binfmt`]); the default.
-    #[default]
-    Binary,
-    /// One pretty-printed-free canonical JSON [`CacheEntry`] per file.
-    Json,
-}
-
 /// Summary of what's on disk, for `flov cache stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Readable entries across every layout and format.
+    /// Entries in shard subdirectories.
     pub entries: usize,
     pub total_bytes: u64,
-    /// Binary entries in shard subdirectories.
-    pub binary_entries: usize,
-    /// JSON entries in shard subdirectories.
-    pub json_sharded: usize,
-    /// JSON entries in the legacy flat layout (pre-shard engine).
-    pub json_flat: usize,
     /// Shard subdirectories present.
     pub shard_dirs: usize,
     /// Files parked in `quarantine/`.
     pub quarantined: usize,
     pub quarantined_bytes: u64,
+    /// Retired-format `<key>.json` files (see the module docs).
+    pub orphans: usize,
+    pub orphan_bytes: u64,
     /// LRU atime bumps that failed since this cache handle was created
     /// (noatime/read-only mounts). Non-zero means access times are stale
     /// and GC recency falls back to modification times.
@@ -110,28 +99,11 @@ pub struct VerifyReport {
     pub quarantined: usize,
 }
 
-/// What [`ResultCache::migrate`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// JSON entries rewritten as sharded binary (hash-preserving).
-    pub migrated: usize,
-    /// Entries already in the binary sharded layout, left alone.
-    pub already_binary: usize,
-    /// Misplaced binary entries moved into their shard directory.
-    pub resharded: usize,
-    /// Unreadable or hash-mismatched entries moved to `quarantine/`.
-    pub quarantined: usize,
-}
-
 /// A directory of content-addressed cache entries. Cloning shares the
 /// in-memory index.
 #[derive(Clone, Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    write_format: CacheFormat,
-    /// Seed-era behavior for A/B benchmarking: flat `<key>.json` files,
-    /// probed by direct filesystem reads with no index.
-    legacy_flat: bool,
     /// Lazily built key → path map; `None` until the first probe.
     index: Arc<Mutex<Option<HashMap<String, PathBuf>>>>,
     /// How many LRU atime bumps have failed (shared across clones, like
@@ -157,50 +129,37 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// `Some(key)` when `name` is `<32 hex>.bin` or `<32 hex>.json`.
+/// Whether `s` is a cache key: 32 lowercase hex characters.
+fn is_key(s: &str) -> bool {
+    s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+}
+
+/// `Some(key)` when `name` is `<32 hex>.bin`.
 fn entry_key(name: &str) -> Option<&str> {
-    let key = name.strip_suffix(".bin").or_else(|| name.strip_suffix(".json"))?;
-    (key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()))
-        .then_some(key)
+    name.strip_suffix(".bin").filter(|key| is_key(key))
+}
+
+/// Whether `name` is `<32 hex>.json`, an entry of the retired JSON format.
+fn is_orphan_name(name: &str) -> bool {
+    name.strip_suffix(".json").is_some_and(is_key)
+}
+
+/// Whether `name` is a shard subdirectory's: two hex characters.
+fn is_shard_name(name: &str) -> bool {
+    name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 impl ResultCache {
     /// A sharded cache rooted at `dir` (created lazily on first write).
-    /// New entries are written in the binary format unless
-    /// `FLOV_CACHE_FORMAT=json` asks for JSON.
     pub fn new(dir: impl Into<PathBuf>) -> ResultCache {
-        let write_format = match std::env::var("FLOV_CACHE_FORMAT").ok().as_deref() {
-            Some("json") => CacheFormat::Json,
-            None | Some("") | Some("binary") | Some("bin") => CacheFormat::Binary,
-            Some(other) => panic!("unknown FLOV_CACHE_FORMAT value {other:?} (use binary|json)"),
-        };
-        Self::make(dir.into(), write_format, false)
-    }
-
-    fn make(dir: PathBuf, write_format: CacheFormat, legacy_flat: bool) -> ResultCache {
         ResultCache {
-            dir,
-            write_format,
-            legacy_flat,
+            dir: dir.into(),
             index: Arc::new(Mutex::new(None)),
             atime_failures: Arc::new(AtomicU64::new(0)),
             atime_unreliable: Arc::new(AtomicBool::new(false)),
             #[cfg(test)]
             fail_atime_bumps: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Override the write format (probing always reads every format).
-    pub fn with_format(mut self, f: CacheFormat) -> ResultCache {
-        self.write_format = f;
-        self
-    }
-
-    /// The seed engine's layout, kept as the A/B baseline for
-    /// `flov bench-engine`: flat pretty-free JSON files probed by direct
-    /// reads, no shards, no index, no quarantine, no atime bumps.
-    pub fn legacy_flat_json(dir: impl Into<PathBuf>) -> ResultCache {
-        Self::make(dir.into(), CacheFormat::Json, true)
     }
 
     /// The default location: `$FLOV_CACHE_DIR`, or `results/cache`.
@@ -231,48 +190,28 @@ impl ResultCache {
         self.dir.join(&key[..2])
     }
 
-    fn write_path(&self, key: &str) -> PathBuf {
-        if self.legacy_flat {
-            return self.dir.join(format!("{key}.json"));
-        }
-        let ext = match self.write_format {
-            CacheFormat::Binary => "bin",
-            CacheFormat::Json => "json",
-        };
-        self.shard_dir(key).join(format!("{key}.{ext}"))
+    fn entry_path(&self, key: &str) -> PathBuf {
+        self.shard_dir(key).join(format!("{key}.bin"))
     }
 
     // ------------------------------------------------------------- index
 
-    /// One directory scan building the key → path map. Binary entries win
-    /// when a key exists in both formats; tmp files and `quarantine/` are
-    /// skipped.
+    /// One directory scan building the key → path map over the shard
+    /// subdirectories; tmp files and `quarantine/` are skipped.
     fn scan(&self) -> HashMap<String, PathBuf> {
-        let mut map: HashMap<String, PathBuf> = HashMap::new();
-        let insert = |map: &mut HashMap<String, PathBuf>, p: PathBuf| {
-            let Some(name) = p.file_name().and_then(|n| n.to_str()) else { return };
-            let Some(key) = entry_key(name) else { return };
-            match map.get(key) {
-                Some(existing) if existing.extension().is_some_and(|e| e == "bin") => {}
-                _ => {
-                    map.insert(key.to_string(), p);
-                }
-            }
-        };
+        let mut map = HashMap::new();
         let Ok(rd) = fs::read_dir(&self.dir) else { return map };
         for e in rd.flatten() {
-            let p = e.path();
             let name = e.file_name();
-            let name = name.to_string_lossy();
-            if p.is_dir() {
-                if name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    let Ok(shard) = fs::read_dir(&p) else { continue };
-                    for f in shard.flatten() {
-                        insert(&mut map, f.path());
-                    }
+            if !is_shard_name(&name.to_string_lossy()) {
+                continue;
+            }
+            let Ok(shard) = fs::read_dir(e.path()) else { continue };
+            for f in shard.flatten() {
+                let name = f.file_name();
+                if let Some(key) = name.to_str().and_then(entry_key) {
+                    map.insert(key.to_string(), f.path());
                 }
-            } else {
-                insert(&mut map, p);
             }
         }
         map
@@ -322,7 +261,7 @@ impl ResultCache {
         }
     }
 
-    /// Drop the in-memory index (after gc/migrate/clear rearrange disk);
+    /// Drop the in-memory index (after gc/verify/clear rearrange disk);
     /// the next probe rescans.
     fn index_reset(&self) {
         *self.index.lock().expect("cache index lock") = None;
@@ -330,15 +269,11 @@ impl ResultCache {
 
     // ------------------------------------------------------------ probing
 
-    /// Fetch the result stored under `key`, verifying the salt. Corrupt
-    /// or truncated entries read as misses and are quarantined; a hit
-    /// bumps the entry's access time for LRU eviction.
+    /// Fetch the result stored under `key`, verifying the salt and the
+    /// format version (a mismatch in either is a plain miss). Corrupt or
+    /// truncated entries read as misses and are quarantined; a hit bumps
+    /// the entry's access time for LRU eviction.
     pub fn get(&self, key: &str, kernel_version: u32) -> Option<RunResult> {
-        if self.legacy_flat {
-            let text = fs::read_to_string(self.dir.join(format!("{key}.json"))).ok()?;
-            let entry: CacheEntry = serde_json::from_str(&text).ok()?;
-            return (entry.kernel_version == kernel_version).then_some(entry.result);
-        }
         let path = self.index_lookup(key)?;
         // One open serves both the read and, on a hit, the LRU atime bump
         // (the probe path runs thousands of times per warm sweep, so the
@@ -354,16 +289,7 @@ impl ResultCache {
             self.index_forget(key);
             return None;
         }
-        let is_binary = path.extension().is_some_and(|e| e == "bin");
-        let outcome = if is_binary {
-            binfmt::decode_result(&bytes, key, kernel_version)
-        } else {
-            match serde_json::from_slice::<CacheEntry>(&bytes) {
-                Ok(entry) => Ok((entry.kernel_version == kernel_version).then_some(entry.result)),
-                Err(e) => Err(binfmt::BinError(format!("JSON entry does not parse: {e}"))),
-            }
-        };
-        match outcome {
+        match binfmt::decode_result(&bytes, key, kernel_version) {
             Ok(Some(result)) => {
                 self.bump_atime(&file);
                 Some(result)
@@ -414,16 +340,11 @@ impl ResultCache {
     /// a rename publishes the entry — a crashed or concurrent run never
     /// leaves a half-written entry under a probed name.
     pub fn put(&self, key: &str, entry: &CacheEntry) -> std::io::Result<()> {
-        let path = self.write_path(key);
+        let path = self.entry_path(key);
         let parent = path.parent().expect("entry path has a parent");
         fs::create_dir_all(parent)?;
-        let bytes = match (self.legacy_flat, self.write_format) {
-            (false, CacheFormat::Binary) => {
-                let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-                binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result)
-            }
-            _ => serde_json::to_string(entry).expect("cache entry serializes").into_bytes(),
-        };
+        let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
+        let bytes = binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result);
         let tmp = parent.join(format!(".{key}.tmp-{}", std::process::id()));
         {
             let mut f = fs::File::create(&tmp)?;
@@ -431,9 +352,7 @@ impl ResultCache {
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
-        if !self.legacy_flat {
-            self.index_insert(key, path);
-        }
+        self.index_insert(key, path);
         Ok(())
     }
 
@@ -484,57 +403,70 @@ impl ResultCache {
             .collect()
     }
 
+    /// Every orphan on disk (see the module docs) with its size: files
+    /// named `<32 hex>.json` in the cache root or a shard subdirectory.
+    fn orphans(&self) -> Vec<(PathBuf, u64)> {
+        let mut out = Vec::new();
+        let mut collect = |dir: &Path| {
+            let Ok(rd) = fs::read_dir(dir) else { return };
+            for f in rd.flatten() {
+                if f.file_name().to_str().is_some_and(is_orphan_name) {
+                    out.push((f.path(), f.metadata().map(|m| m.len()).unwrap_or(0)));
+                }
+            }
+        };
+        collect(&self.dir);
+        if let Ok(rd) = fs::read_dir(&self.dir) {
+            for e in rd.flatten() {
+                if is_shard_name(&e.file_name().to_string_lossy()) {
+                    collect(&e.path());
+                }
+            }
+        }
+        out
+    }
+
     /// Count the entries (and bytes) currently on disk.
     pub fn stats(&self) -> CacheStats {
         let mut s =
             CacheStats { atime_bump_failures: self.atime_bump_failures(), ..Default::default() };
+        for (_, len) in self.orphans() {
+            s.orphans += 1;
+            s.orphan_bytes += len;
+        }
         let Ok(rd) = fs::read_dir(&self.dir) else { return s };
-        let tally = |s: &mut CacheStats, path: &Path, flat: bool| {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { return };
-            if entry_key(name).is_none() {
-                return;
-            }
-            let len = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            s.entries += 1;
-            s.total_bytes += len;
-            if name.ends_with(".bin") {
-                s.binary_entries += 1;
-            } else if flat {
-                s.json_flat += 1;
-            } else {
-                s.json_sharded += 1;
-            }
-        };
         for e in rd.flatten() {
-            let p = e.path();
             let name = e.file_name();
             let name = name.to_string_lossy();
-            if p.is_dir() {
-                if name == QUARANTINE_DIR {
-                    let Ok(q) = fs::read_dir(&p) else { continue };
-                    for f in q.flatten() {
-                        s.quarantined += 1;
-                        s.quarantined_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
-                    }
-                } else if name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    s.shard_dirs += 1;
-                    let Ok(shard) = fs::read_dir(&p) else { continue };
-                    for f in shard.flatten() {
-                        tally(&mut s, &f.path(), false);
+            if name == QUARANTINE_DIR {
+                let Ok(q) = fs::read_dir(e.path()) else { continue };
+                for f in q.flatten() {
+                    s.quarantined += 1;
+                    s.quarantined_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
+                }
+            } else if is_shard_name(&name) {
+                let Ok(shard) = fs::read_dir(e.path()) else { continue };
+                s.shard_dirs += 1;
+                for f in shard.flatten() {
+                    if f.file_name().to_str().and_then(entry_key).is_some() {
+                        s.entries += 1;
+                        s.total_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
                     }
                 }
-            } else {
-                tally(&mut s, &p, true);
             }
         }
         s
     }
 
-    /// Delete every entry (and quarantined file); returns how many
-    /// entries were removed.
+    /// Delete every entry, orphan and quarantined file; returns how many
+    /// entries and orphans were removed.
     pub fn clear(&self) -> std::io::Result<usize> {
         let mut n = 0;
         for (_, path, _, _) in self.inventory() {
+            fs::remove_file(&path)?;
+            n += 1;
+        }
+        for (path, _) in self.orphans() {
             fs::remove_file(&path)?;
             n += 1;
         }
@@ -556,15 +488,18 @@ impl ResultCache {
         Ok(n)
     }
 
-    /// Evict entries per `opts`: first everything older than `max_age`,
-    /// then — least-recently-used first — until the survivors fit in
+    /// Evict entries per `opts`: first every orphan, which no probe can
+    /// read, then everything older than `max_age`, then —
+    /// least-recently-used first — until the survivors fit in
     /// `max_bytes`. Cache hits bump access times, so recently replayed
     /// entries survive.
     pub fn gc(&self, opts: &GcOptions) -> std::io::Result<GcReport> {
         let mut entries = self.inventory();
+        let orphans = self.orphans();
         let mut report = GcReport {
-            scanned: entries.len(),
-            scanned_bytes: entries.iter().map(|(_, _, len, _)| len).sum(),
+            scanned: entries.len() + orphans.len(),
+            scanned_bytes: entries.iter().map(|(_, _, len, _)| len).sum::<u64>()
+                + orphans.iter().map(|(_, len)| len).sum::<u64>(),
             ..GcReport::default()
         };
         let evict = |path: &Path, len: u64, report: &mut GcReport| -> std::io::Result<()> {
@@ -573,6 +508,9 @@ impl ResultCache {
             report.removed_bytes += len;
             Ok(())
         };
+        for (path, len) in orphans {
+            evict(&path, len, &mut report)?;
+        }
         if let Some(age) = opts.max_age {
             let cutoff = SystemTime::now().checked_sub(age).unwrap_or(SystemTime::UNIX_EPOCH);
             let mut kept = Vec::with_capacity(entries.len());
@@ -601,14 +539,15 @@ impl ResultCache {
     }
 
     /// Re-read every entry, re-deriving its content hash from the stored
-    /// spec: structural corruption (bad magic/CRC/JSON) and hash
+    /// spec: structural corruption (bad magic/CRC/result) and hash
     /// mismatches (entry filed under a key its spec does not hash to)
-    /// both quarantine the file.
+    /// both quarantine the file. An intact entry of another format
+    /// version passes: it is a miss, not corruption.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::default();
         for (key, path, _, _) in self.inventory() {
             report.checked += 1;
-            match self.verify_one(&key, &path) {
+            match verify_one(&key, &path) {
                 Ok(()) => report.ok += 1,
                 Err(reason) => {
                     self.quarantine(&path, &reason);
@@ -619,82 +558,19 @@ impl ResultCache {
         self.index_reset();
         report
     }
+}
 
-    fn verify_one(&self, key: &str, path: &Path) -> Result<(), String> {
-        let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-        let (kernel_version, spec_json, stored_key) =
-            if path.extension().is_some_and(|e| e == "bin") {
-                let entry = binfmt::decode_entry(&bytes).map_err(|e| e.0)?;
-                (entry.kernel_version, entry.spec_json, Some(entry.key))
-            } else {
-                let entry: CacheEntry = serde_json::from_slice(&bytes)
-                    .map_err(|e| format!("JSON entry does not parse: {e}"))?;
-                let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-                (entry.kernel_version, spec_json, None)
-            };
-        if let Some(stored) = stored_key {
-            if stored != key {
-                return Err(format!("stored hash {stored} does not match filename"));
-            }
-        }
-        let derived = ResultCache::key(&spec_json, kernel_version);
-        if derived != key {
-            return Err(format!("spec hashes to {derived}, filed under {key}"));
-        }
-        Ok(())
+fn verify_one(key: &str, path: &Path) -> Result<(), String> {
+    let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+    let entry = binfmt::decode_entry(&bytes).map_err(|e| e.0)?;
+    if entry.key != key {
+        return Err(format!("stored hash {} does not match filename", entry.key));
     }
-
-    /// Rewrite every JSON entry (flat or sharded) as sharded binary and
-    /// move any misplaced binary entry into its shard — preserving every
-    /// content hash, so a warm sweep replays identically before and
-    /// after. Unreadable or hash-mismatched entries are quarantined.
-    pub fn migrate(&self) -> std::io::Result<MigrateReport> {
-        let mut report = MigrateReport::default();
-        for (key, path, _, _) in self.inventory() {
-            let in_shard = path.parent() == Some(self.shard_dir(&key).as_path());
-            let is_binary = path.extension().is_some_and(|e| e == "bin");
-            if is_binary {
-                if in_shard {
-                    report.already_binary += 1;
-                } else {
-                    let dest = self.shard_dir(&key).join(format!("{key}.bin"));
-                    fs::create_dir_all(dest.parent().expect("shard dir"))?;
-                    fs::rename(&path, &dest)?;
-                    report.resharded += 1;
-                }
-                continue;
-            }
-            match self.migrate_one(&key, &path) {
-                Ok(()) => report.migrated += 1,
-                Err(reason) => {
-                    self.quarantine(&path, &reason);
-                    report.quarantined += 1;
-                }
-            }
-        }
-        self.index_reset();
-        Ok(report)
+    let derived = ResultCache::key(&entry.spec_json, entry.kernel_version);
+    if derived != key {
+        return Err(format!("spec hashes to {derived}, filed under {key}"));
     }
-
-    fn migrate_one(&self, key: &str, path: &Path) -> Result<(), String> {
-        let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-        let entry: CacheEntry = serde_json::from_slice(&bytes)
-            .map_err(|e| format!("JSON entry does not parse: {e}"))?;
-        let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-        let derived = ResultCache::key(&spec_json, entry.kernel_version);
-        if derived != key {
-            return Err(format!("spec hashes to {derived}, filed under {key}"));
-        }
-        let encoded = binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result);
-        let dest = self.shard_dir(key).join(format!("{key}.bin"));
-        let parent = dest.parent().expect("shard dir");
-        fs::create_dir_all(parent).map_err(|e| format!("cannot create shard dir: {e}"))?;
-        let tmp = parent.join(format!(".{key}.tmp-{}", std::process::id()));
-        fs::write(&tmp, &encoded).map_err(|e| format!("cannot write: {e}"))?;
-        fs::rename(&tmp, &dest).map_err(|e| format!("cannot publish: {e}"))?;
-        let _ = fs::remove_file(path);
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -833,13 +709,13 @@ mod tests {
             entry_key("0123456789abcdef0123456789abcdef.bin"),
             Some("0123456789abcdef0123456789abcdef")
         );
-        assert_eq!(
-            entry_key("0123456789abcdef0123456789abcdef.json"),
-            Some("0123456789abcdef0123456789abcdef")
-        );
+        assert_eq!(entry_key("0123456789abcdef0123456789abcdef.json"), None);
         assert_eq!(entry_key(".0123456789abcdef0123456789abcdef.tmp-123"), None);
         assert_eq!(entry_key("0123456789ABCDEF0123456789ABCDEF.bin"), None);
         assert_eq!(entry_key("short.json"), None);
         assert_eq!(entry_key("notes.txt"), None);
+        assert!(is_orphan_name("0123456789abcdef0123456789abcdef.json"));
+        assert!(!is_orphan_name("0123456789abcdef0123456789abcdef.bin"));
+        assert!(!is_orphan_name("index.json"));
     }
 }

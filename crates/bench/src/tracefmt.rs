@@ -27,7 +27,8 @@ use flov_noc::traits::PacketRequest;
 use flov_noc::types::{Cycle, NodeId};
 use flov_workloads::trace::TraceData;
 
-/// Trace container magic (the result-cache container uses `FLOVBC1\n`).
+/// Trace container magic (the result-cache container uses
+/// [`crate::binfmt::MAGIC`]).
 pub const TRACE_MAGIC: [u8; 8] = *b"FLOVTR1\n";
 
 /// A decoded trace file.
@@ -54,30 +55,30 @@ pub fn encode_trace(kernel_version: u32, source_spec_json: &str, data: &TraceDat
     out.extend_from_slice(&(source_spec_json.len() as u32).to_le_bytes());
     out.extend_from_slice(source_spec_json.as_bytes());
 
-    write_uvarint(data.core_events.len() as u128, &mut out);
+    write_uvarint(data.core_events.len() as u64, &mut out);
     let mut prev: Cycle = 0;
     for &(cycle, node, on) in &data.core_events {
-        write_uvarint((cycle - prev) as u128, &mut out);
-        write_uvarint(node as u128, &mut out);
+        write_uvarint(cycle - prev, &mut out);
+        write_uvarint(node as u64, &mut out);
         out.push(on as u8);
         prev = cycle;
     }
 
-    write_uvarint(data.changed_cycles.len() as u128, &mut out);
+    write_uvarint(data.changed_cycles.len() as u64, &mut out);
     prev = 0;
     for &cycle in &data.changed_cycles {
-        write_uvarint((cycle - prev) as u128, &mut out);
+        write_uvarint(cycle - prev, &mut out);
         prev = cycle;
     }
 
-    write_uvarint(data.packets.len() as u128, &mut out);
+    write_uvarint(data.packets.len() as u64, &mut out);
     prev = 0;
     for &(cycle, req) in &data.packets {
-        write_uvarint((cycle - prev) as u128, &mut out);
-        write_uvarint(req.src as u128, &mut out);
-        write_uvarint(req.dst as u128, &mut out);
+        write_uvarint(cycle - prev, &mut out);
+        write_uvarint(req.src as u64, &mut out);
+        write_uvarint(req.dst as u64, &mut out);
         out.push(req.vnet);
-        write_uvarint(req.len as u128, &mut out);
+        write_uvarint(req.len as u64, &mut out);
         prev = cycle;
     }
 
@@ -86,13 +87,8 @@ pub fn encode_trace(kernel_version: u32, source_spec_json: &str, data: &TraceDat
     out
 }
 
-fn cycle_of(v: u128) -> Result<Cycle, BinError> {
-    u64::try_from(v).map_err(|_| BinError("cycle overflows u64".into()))
-}
-
-fn node_of(v: u128) -> Result<NodeId, BinError> {
-    NodeId::try_from(u64::try_from(v).unwrap_or(u64::MAX))
-        .map_err(|_| BinError(format!("node id {v} overflows u16")))
+fn node_of(v: u64) -> Result<NodeId, BinError> {
+    NodeId::try_from(v).map_err(|_| BinError(format!("node id {v} overflows u16")))
 }
 
 /// Decode and CRC-check a trace container.
@@ -122,7 +118,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TraceFile, BinError> {
     let mut prev: Cycle = 0;
     for _ in 0..n_core {
         let cycle = prev
-            .checked_add(cycle_of(r.uvarint()?)?)
+            .checked_add(r.uvarint()?)
             .ok_or_else(|| BinError("core-event cycle overflows u64".into()))?;
         let node = node_of(r.uvarint()?)?;
         let on = match r.byte()? {
@@ -138,7 +134,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TraceFile, BinError> {
     prev = 0;
     for _ in 0..n_changed {
         let cycle = prev
-            .checked_add(cycle_of(r.uvarint()?)?)
+            .checked_add(r.uvarint()?)
             .ok_or_else(|| BinError("change-pulse cycle overflows u64".into()))?;
         data.changed_cycles.push(cycle);
         prev = cycle;
@@ -148,7 +144,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TraceFile, BinError> {
     prev = 0;
     for _ in 0..n_packets {
         let cycle = prev
-            .checked_add(cycle_of(r.uvarint()?)?)
+            .checked_add(r.uvarint()?)
             .ok_or_else(|| BinError("packet cycle overflows u64".into()))?;
         let src = node_of(r.uvarint()?)?;
         let dst = node_of(r.uvarint()?)?;

@@ -1,12 +1,9 @@
 //! The sharded binary cache: format round-trips, index correctness,
-//! corruption quarantine, GC eviction order, legacy-JSON compatibility,
-//! migration, and work-stealing determinism.
+//! corruption quarantine, GC eviction order, format-version misses, and
+//! work-stealing determinism.
 
 use flov_bench::cache::QUARANTINE_DIR;
-use flov_bench::{
-    binfmt, CacheEntry, CacheFormat, Engine, GcOptions, ResultCache, RunResult, RunSpec,
-    KERNEL_VERSION,
-};
+use flov_bench::{binfmt, Engine, GcOptions, ResultCache, RunResult, RunSpec, KERNEL_VERSION};
 use proptest::prelude::*;
 use std::fs::{self, FileTimes};
 use std::path::{Path, PathBuf};
@@ -44,7 +41,7 @@ fn entry_path(dir: &Path, key: &str, ext: &str) -> PathBuf {
 }
 
 fn binary_engine(dir: &Path) -> Engine {
-    Engine::with_cache(ResultCache::new(dir).with_format(CacheFormat::Binary)).quiet()
+    Engine::with_cache(ResultCache::new(dir)).quiet()
 }
 
 proptest! {
@@ -72,9 +69,10 @@ proptest! {
         prop_assert_eq!(&entry.key, &key);
         prop_assert_eq!(entry.kernel_version, KERNEL_VERSION);
         prop_assert_eq!(&entry.spec_json, &spec_json);
-        prop_assert_eq!(&serde_json::to_string(&entry.result).unwrap(), &json);
+        let decoded = entry.result.expect("a current-format entry decodes its result");
+        prop_assert_eq!(&serde_json::to_string(&decoded).unwrap(), &json);
 
-        // The fast probe path decodes the same result...
+        // The probe path decodes the same result...
         let probed = binfmt::decode_result(&bytes, &key, KERNEL_VERSION).unwrap().unwrap();
         prop_assert_eq!(&serde_json::to_string(&probed).unwrap(), &json);
         // ...and a salt mismatch is a plain miss, not an error.
@@ -203,48 +201,82 @@ fn gc_max_age_evicts_only_stale_entries() {
 }
 
 #[test]
-fn legacy_flat_json_entries_are_readable_and_migratable() {
+fn previous_format_entry_is_a_plain_miss_and_is_overwritten() {
     let dir = temp_cache_dir();
-    let specs: Vec<RunSpec> = (0..3).map(|i| tiny_spec(0.2 * i as f64, 400 + i)).collect();
+    let spec = tiny_spec(0.45, 400);
+    let original = binary_engine(&dir).run_one(&spec);
+    let key = key_of(&spec);
+    let path = entry_path(&dir, &key, "bin");
 
-    // Seed-era layout: flat JSON files straight under the cache dir.
-    let legacy = Engine::with_cache(ResultCache::legacy_flat_json(&dir)).quiet();
-    let original = legacy.run_batch(&specs);
-    for spec in &specs {
-        assert!(dir.join(format!("{}.json", key_of(spec))).exists());
-    }
+    // Rewrite the entry as format version 1: same header and body under
+    // the old magic, with a CRC that matches, so only the version differs.
+    let mut bytes = fs::read(&path).unwrap();
+    assert_eq!(&bytes[..8], &binfmt::MAGIC);
+    bytes[..8].copy_from_slice(b"FLOVBC1\n");
+    let body = bytes.len() - 4;
+    let crc = binfmt::crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
 
-    // The sharded cache reads them where they are (no migration needed).
-    let replay_engine = binary_engine(&dir);
-    let replayed = replay_engine.run_batch(&specs);
-    assert_eq!(replay_engine.stats().cached, specs.len(), "flat JSON must hit");
-    assert_eq!(
-        serde_json::to_string(&replayed).unwrap(),
-        serde_json::to_string(&original).unwrap(),
-    );
-
-    // Migration rewrites them as sharded binary, preserving every key...
+    // The probe misses without quarantining...
     let cache = ResultCache::new(&dir);
-    let before = cache.known_keys();
-    let report = cache.migrate().unwrap();
-    assert_eq!(report.migrated, specs.len());
-    assert_eq!(report.quarantined, 0);
-    assert_eq!(cache.known_keys(), before, "migration must preserve content hashes");
-    for spec in &specs {
-        let key = key_of(spec);
-        assert!(entry_path(&dir, &key, "bin").exists());
-        assert!(!dir.join(format!("{key}.json")).exists(), "source JSON must be consumed");
-    }
-    // ...verification agrees...
-    let verify = cache.verify();
-    assert_eq!(verify.checked, specs.len());
-    assert_eq!(verify.quarantined, 0);
+    assert!(cache.get(&key, KERNEL_VERSION).is_none(), "another format version must miss");
+    assert!(path.exists(), "a version miss must stay in place");
+    assert!(!dir.join(QUARANTINE_DIR).exists());
+    // ...verify checks its CRC and content hash and passes it...
+    let report = cache.verify();
+    assert_eq!((report.checked, report.ok, report.quarantined), (1, 1, 0));
+    assert!(path.exists());
 
-    // ...and the warm replay still serves identical bytes.
-    let after_engine = binary_engine(&dir);
-    let after = after_engine.run_batch(&specs);
-    assert_eq!(after_engine.stats().cached, specs.len());
-    assert_eq!(serde_json::to_string(&after).unwrap(), serde_json::to_string(&original).unwrap(),);
+    // ...and the engine re-simulates it and overwrites the same path with
+    // a current entry that hits.
+    let engine = binary_engine(&dir);
+    let rerun = engine.run_one(&spec);
+    assert_eq!(engine.stats().simulated, 1);
+    assert_eq!(serde_json::to_string(&rerun).unwrap(), serde_json::to_string(&original).unwrap());
+    assert_eq!(&fs::read(&path).unwrap()[..8], b"FLOVBC2\n");
+    assert!(ResultCache::new(&dir).get(&key, KERNEL_VERSION).is_some());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_json_entries_are_orphans_that_gc_and_clear_delete() {
+    let dir = temp_cache_dir();
+    let spec = tiny_spec(0.35, 450);
+    binary_engine(&dir).run_one(&spec);
+    let entry = entry_path(&dir, &key_of(&spec), "bin");
+    // Files an older build wrote: a sharded JSON entry (in a shard of its
+    // own) and a flat one in the cache root.
+    let sharded = entry_path(&dir, "ab000000000000000000000000000000", "json");
+    let flat = dir.join("cd000000000000000000000000000000.json");
+    let json = b"{\"kernel_version\":3}";
+    let plant = || {
+        fs::create_dir_all(sharded.parent().unwrap()).unwrap();
+        fs::write(&sharded, json).unwrap();
+        fs::write(&flat, json).unwrap();
+    };
+    plant();
+
+    let cache = ResultCache::new(&dir);
+    let s = cache.stats();
+    assert_eq!((s.entries, s.orphans, s.orphan_bytes), (1, 2, 2 * json.len() as u64));
+    assert!(cache.get("ab000000000000000000000000000000", KERNEL_VERSION).is_none());
+    // verify never decodes an orphan, so never quarantines one.
+    let report = cache.verify();
+    assert_eq!((report.checked, report.quarantined), (1, 0));
+
+    // gc deletes orphans whatever its budget, and keeps the entry.
+    let report = cache.gc(&GcOptions { max_bytes: Some(u64::MAX), max_age: None }).unwrap();
+    assert_eq!((report.scanned, report.removed), (3, 2));
+    assert!(!sharded.exists() && !flat.exists());
+    assert!(entry.exists());
+
+    // clear deletes them too, and the shard directories with them.
+    plant();
+    assert_eq!(cache.clear().unwrap(), 3);
+    assert!(!sharded.exists() && !flat.exists() && !entry.exists());
+    assert!(!sharded.parent().unwrap().exists(), "clear must remove emptied shard dirs");
+    assert_eq!(cache.stats(), flov_bench::CacheStats::default());
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -310,38 +342,5 @@ fn work_stealing_batch_matches_sequential_execution() {
     expected.sort();
     expected.dedup();
     assert_eq!(engine.cache().unwrap().known_keys(), expected);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn json_write_format_interoperates_with_binary_probes() {
-    let dir = temp_cache_dir();
-    let spec = tiny_spec(0.35, 700);
-    // Write sharded JSON (FLOV_CACHE_FORMAT=json path, minus the env var).
-    let json_engine =
-        Engine::with_cache(ResultCache::new(&dir).with_format(CacheFormat::Json)).quiet();
-    let original = json_engine.run_one(&spec);
-    let key = key_of(&spec);
-    assert!(entry_path(&dir, &key, "json").exists());
-
-    // A default (binary-writing) cache still hits the sharded JSON entry.
-    let replay = binary_engine(&dir);
-    let replayed = replay.run_one(&spec);
-    assert_eq!(replay.stats().cached, 1);
-    assert_eq!(
-        serde_json::to_string(&replayed).unwrap(),
-        serde_json::to_string(&original).unwrap(),
-    );
-
-    // When both formats exist for one key, the index prefers the binary.
-    let entry = CacheEntry {
-        kernel_version: KERNEL_VERSION,
-        spec: spec.resolved(),
-        result: original.clone(),
-    };
-    ResultCache::new(&dir).with_format(CacheFormat::Binary).put(&key, &entry).unwrap();
-    let both = ResultCache::new(&dir);
-    assert!(both.get(&key, KERNEL_VERSION).is_some());
-    assert_eq!(both.known_keys().len(), 1);
     let _ = fs::remove_dir_all(&dir);
 }
