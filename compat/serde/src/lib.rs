@@ -3,17 +3,20 @@
 //! This workspace must build without network access to crates.io, so the
 //! real serde cannot be fetched. This shim keeps the same import surface
 //! (`use serde::{Serialize, Deserialize}` plus the derive macros) but uses a
-//! much simpler model: every serializable value converts to and from a
-//! [`Value`] tree, and `serde_json` (also shimmed in `compat/`) renders that
-//! tree to JSON text with a *stable canonical encoding* — map entries keep
-//! field declaration order and floats format via Rust's shortest-roundtrip
-//! `{:?}`, so equal values always produce byte-identical JSON. The
-//! experiment engine's content-addressed result cache keys on exactly that
-//! property.
+//! much simpler model. Deserialization rebuilds values from a [`Value`]
+//! tree that `serde_json` (also shimmed in `compat/`) parses. Serialization
+//! streams: [`Serialize::write_json`] writes JSON text straight from the
+//! typed value into a [`JsonWriter`], so no tree is built on the way out
+//! ([`Serialize::to_value`] still lowers to a [`Value`] when a caller wants
+//! one). The encoding is *canonical*: map entries keep field declaration
+//! order and floats format via Rust's shortest-roundtrip `{:?}`, so equal
+//! values always produce byte-identical JSON. The experiment engine's
+//! content-addressed result cache keys on exactly that property.
 
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::fmt;
+use std::io::{self, Write};
 
 /// A JSON-shaped value tree: the data model every `Serialize` type lowers
 /// into and every `Deserialize` type is rebuilt from.
@@ -87,9 +90,265 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Lower `self` into the [`Value`] data model.
+/// Pretty output indents two spaces per level, cut from this slice;
+/// deeper nesting repeats it.
+const SPACES: &[u8; 64] = b"                                                                ";
+
+/// A writer with a sink hands its buffer over once it holds this much.
+const BUF_CAP: usize = 64 * 1024;
+
+/// The JSON formatter: every serialized value is written through one.
+///
+/// It places commas, newlines and two-space indentation itself, so a
+/// [`Serialize`] impl only opens and closes containers and names its keys.
+/// Text accumulates in a buffer; a writer made with
+/// [`JsonWriter::with_sink`] hands each 64 KiB to its [`io::Write`] sink,
+/// so output of any size streams in bounded memory. The first sink error
+/// is kept, later output is dropped, and [`JsonWriter::finish`] returns it.
+pub struct JsonWriter<'a> {
+    buf: Vec<u8>,
+    sink: Option<&'a mut dyn io::Write>,
+    error: Option<io::Error>,
+    pretty: bool,
+    depth: usize,
+    /// Whether the innermost open container already holds an item.
+    nonempty: bool,
+}
+
+impl JsonWriter<'static> {
+    /// An in-memory writer; take the text with [`JsonWriter::into_string`].
+    pub fn new(pretty: bool) -> Self {
+        JsonWriter { buf: Vec::new(), sink: None, error: None, pretty, depth: 0, nonempty: false }
+    }
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer that streams into `sink` in 64 KiB writes.
+    pub fn with_sink(sink: &'a mut dyn io::Write, pretty: bool) -> Self {
+        JsonWriter {
+            buf: Vec::with_capacity(BUF_CAP),
+            sink: Some(sink),
+            error: None,
+            pretty,
+            depth: 0,
+            nonempty: false,
+        }
+    }
+
+    /// The text of an in-memory writer.
+    pub fn into_string(self) -> String {
+        String::from_utf8(self.buf).expect("JsonWriter writes only UTF-8")
+    }
+
+    /// Hand the rest of the buffer to the sink; the first write error, if
+    /// any. The sink itself is not flushed.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.spill();
+        self.error.map_or(Ok(()), Err)
+    }
+
+    fn spill(&mut self) {
+        if let Some(sink) = self.sink.as_mut() {
+            if self.error.is_none() {
+                self.error = sink.write_all(&self.buf).err();
+            }
+            self.buf.clear();
+        }
+    }
+
+    fn newline_indent(&mut self) {
+        self.buf.push(b'\n');
+        let mut n = 2 * self.depth;
+        while n > 0 {
+            let k = n.min(SPACES.len());
+            self.buf.extend_from_slice(&SPACES[..k]);
+            n -= k;
+        }
+    }
+
+    fn open(&mut self, bracket: u8) {
+        self.buf.push(bracket);
+        self.depth += 1;
+        self.nonempty = false;
+    }
+
+    fn close(&mut self, bracket: u8) {
+        self.depth -= 1;
+        if self.nonempty && self.pretty {
+            self.newline_indent();
+        }
+        self.buf.push(bracket);
+        // The container just closed is an item of the one around it.
+        self.nonempty = true;
+    }
+
+    pub fn begin_seq(&mut self) {
+        self.open(b'[');
+    }
+
+    pub fn end_seq(&mut self) {
+        self.close(b']');
+    }
+
+    pub fn begin_map(&mut self) {
+        self.open(b'{');
+    }
+
+    pub fn end_map(&mut self) {
+        self.close(b'}');
+    }
+
+    /// Start the next sequence element (or, via [`JsonWriter::key`], map
+    /// entry): a comma after the first, then in pretty form a newline and
+    /// the indentation. Write the element's value next.
+    pub fn element(&mut self) {
+        if self.buf.len() >= BUF_CAP {
+            self.spill();
+        }
+        if self.nonempty {
+            self.buf.push(b',');
+        }
+        self.nonempty = true;
+        if self.pretty {
+            self.newline_indent();
+        }
+    }
+
+    /// Start the next map entry with its key; write its value next.
+    pub fn key(&mut self, name: &str) {
+        self.element();
+        self.str(name);
+        self.buf.push(b':');
+        if self.pretty {
+            self.buf.push(b' ');
+        }
+    }
+
+    pub fn null(&mut self) {
+        self.buf.extend_from_slice(b"null");
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.buf.extend_from_slice(if b { b"true" } else { b"false" });
+    }
+
+    pub fn u64(&mut self, v: u64) {
+        self.digits(false, v);
+    }
+
+    pub fn i64(&mut self, v: i64) {
+        self.digits(v < 0, v.unsigned_abs());
+    }
+
+    pub fn i128(&mut self, v: i128) {
+        match u64::try_from(v.unsigned_abs()) {
+            Ok(magnitude) => self.digits(v < 0, magnitude),
+            Err(_) => write!(self.buf, "{v}").expect("writing to a Vec cannot fail"),
+        }
+    }
+
+    fn digits(&mut self, negative: bool, mut v: u64) {
+        let mut tmp = [0u8; 21];
+        let mut i = tmp.len();
+        loop {
+            i -= 1;
+            tmp[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if negative {
+            i -= 1;
+            tmp[i] = b'-';
+        }
+        self.buf.extend_from_slice(&tmp[i..]);
+    }
+
+    /// Shortest round-trip `{:?}` form; JSON has no non-finite numbers, so
+    /// NaN and the infinities are written as `null`.
+    pub fn f64(&mut self, x: f64) {
+        if x.is_finite() {
+            write!(self.buf, "{x:?}").expect("writing to a Vec cannot fail");
+        } else {
+            self.null();
+        }
+    }
+
+    /// A quoted string: `"`, `\` and control characters are escaped,
+    /// everything else (non-ASCII too) is copied as-is.
+    pub fn str(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bytes = s.as_bytes();
+        self.buf.push(b'"');
+        let mut start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let unicode;
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..=0x1f => {
+                    unicode = [
+                        b'\\',
+                        b'u',
+                        b'0',
+                        b'0',
+                        HEX[usize::from(b >> 4)],
+                        HEX[usize::from(b & 15)],
+                    ];
+                    &unicode
+                }
+                _ => continue,
+            };
+            self.buf.extend_from_slice(&bytes[start..i]);
+            self.buf.extend_from_slice(escape);
+            start = i + 1;
+        }
+        self.buf.extend_from_slice(&bytes[start..]);
+        self.buf.push(b'"');
+    }
+
+    /// Write a [`Value`] tree.
+    pub fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(i) => self.i128(*i),
+            Value::Float(x) => self.f64(*x),
+            Value::Str(s) => self.str(s),
+            Value::Seq(items) => {
+                self.begin_seq();
+                for item in items {
+                    self.element();
+                    self.value(item);
+                }
+                self.end_seq();
+            }
+            Value::Map(entries) => {
+                self.begin_map();
+                for (k, item) in entries {
+                    self.key(k);
+                    self.value(item);
+                }
+                self.end_map();
+            }
+        }
+    }
+}
+
+/// Lower `self` into the [`Value`] data model, or write it as JSON.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// Write `self` as JSON. The default writes [`Serialize::to_value`];
+    /// the derive and the impls in this crate write directly, with no
+    /// tree. Both must give the same text.
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.value(&self.to_value());
+    }
 }
 
 /// Rebuild `Self` from the [`Value`] data model.
@@ -101,13 +360,41 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        (**self).write_json(w);
+    }
+}
+
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.value(self);
+    }
+}
+
+fn write_seq<'x, T: Serialize + 'x>(
+    w: &mut JsonWriter<'_>,
+    items: impl IntoIterator<Item = &'x T>,
+) {
+    w.begin_seq();
+    for item in items {
+        w.element();
+        item.write_json(w);
+    }
+    w.end_seq();
 }
 
 macro_rules! impl_int {
-    ($($t:ty),*) => {$(
+    // `$wide` is both the writer method and the type it takes.
+    ($($t:ty => $wide:ident),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i128)
+            }
+            fn write_json(&self, w: &mut JsonWriter<'_>) {
+                w.$wide(*self as $wide);
             }
         }
         impl Deserialize for $t {
@@ -125,13 +412,19 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int!(
+    u8 => u64, u16 => u64, u32 => u64, u64 => u64, usize => u64,
+    i8 => i64, i16 => i64, i32 => i64, i64 => i64, isize => i64
+);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Float(*self as f64)
+            }
+            fn write_json(&self, w: &mut JsonWriter<'_>) {
+                w.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
@@ -155,6 +448,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.bool(*self);
+    }
 }
 
 impl Deserialize for bool {
@@ -170,6 +466,9 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
+    }
 }
 
 impl Deserialize for String {
@@ -184,6 +483,9 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
     }
 }
 
@@ -202,6 +504,9 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        write_seq(w, self);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -214,11 +519,17 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        write_seq(w, self);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        write_seq(w, self);
     }
 }
 
@@ -243,6 +554,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Some(x) => x.write_json(w),
+            None => w.null(),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -259,6 +576,11 @@ macro_rules! impl_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$idx.to_value()),+])
+            }
+            fn write_json(&self, w: &mut JsonWriter<'_>) {
+                w.begin_seq();
+                $(w.element(); self.$idx.write_json(w);)+
+                w.end_seq();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {

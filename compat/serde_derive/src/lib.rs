@@ -2,8 +2,10 @@
 //!
 //! This workspace builds without network access to crates.io, so the real
 //! serde cannot be fetched; the `compat/serde` shim defines value-tree
-//! `Serialize`/`Deserialize` traits and this proc-macro derives them. It
-//! supports exactly the type shapes the workspace uses:
+//! `Serialize`/`Deserialize` traits and this proc-macro derives them.
+//! `Serialize` gets both `to_value` and a streaming `write_json` with the
+//! same keys in the same order. It supports exactly the type shapes the
+//! workspace uses:
 //!
 //! * structs with named fields,
 //! * enums with unit variants (optionally with explicit discriminants),
@@ -202,66 +204,95 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Ok(p) => p,
         Err(e) => return compile_error(&e),
     };
-    let body = match shape {
+    let (body, json) = match shape {
         Shape::Struct(fields) => {
             let mut entries = String::new();
+            let mut json = String::from("__w.begin_map();");
             for f in &fields {
                 entries.push_str(&format!(
                     "(::std::string::String::from(\"{f}\"), \
                      ::serde::Serialize::to_value(&self.{f})),"
                 ));
+                json.push_str(&json_entry(f, &format!("&self.{f}")));
             }
-            format!("::serde::Value::Map(vec![{entries}])")
+            json.push_str("__w.end_map();");
+            (format!("::serde::Value::Map(vec![{entries}])"), json)
         }
         Shape::Enum(variants) => {
             let mut arms = String::new();
+            let mut json_arms = String::new();
             for v in &variants {
                 let vn = &v.name;
                 match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => \
-                         ::serde::Value::Str(::std::string::String::from(\"{vn}\")),"
-                    )),
+                    VariantKind::Unit => {
+                        arms.push_str(&format!(
+                            "{name}::{vn} => \
+                             ::serde::Value::Str(::std::string::String::from(\"{vn}\")),"
+                        ));
+                        json_arms.push_str(&format!("{name}::{vn} => __w.str(\"{vn}\"),"));
+                    }
                     VariantKind::Struct(fields) => {
                         let bindings = fields.join(", ");
                         let mut entries = String::new();
+                        let mut json = String::new();
                         for f in fields {
                             entries.push_str(&format!(
                                 "(::std::string::String::from(\"{f}\"), \
                                  ::serde::Serialize::to_value({f})),"
                             ));
+                            json.push_str(&json_entry(f, f));
                         }
                         arms.push_str(&format!(
                             "{name}::{vn} {{ {bindings} }} => ::serde::Value::Map(vec![(\
                              ::std::string::String::from(\"{vn}\"), \
                              ::serde::Value::Map(vec![{entries}]))]),"
                         ));
+                        json_arms.push_str(&format!(
+                            "{name}::{vn} {{ {bindings} }} => {{ __w.begin_map(); \
+                             __w.key(\"{vn}\"); __w.begin_map(); {json} __w.end_map(); \
+                             __w.end_map(); }},"
+                        ));
                     }
                     VariantKind::Tuple(n) => {
                         let bindings: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
                         let mut items = String::new();
+                        let mut json = String::new();
                         for b in &bindings {
                             items.push_str(&format!("::serde::Serialize::to_value({b}),"));
+                            json.push_str(&format!(
+                                "__w.element(); ::serde::Serialize::write_json({b}, __w);"
+                            ));
                         }
+                        let bindings = bindings.join(", ");
                         arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Map(vec![(\
+                            "{name}::{vn}({bindings}) => ::serde::Value::Map(vec![(\
                              ::std::string::String::from(\"{vn}\"), \
-                             ::serde::Value::Seq(vec![{items}]))]),",
-                            bindings.join(", ")
+                             ::serde::Value::Seq(vec![{items}]))]),"
+                        ));
+                        json_arms.push_str(&format!(
+                            "{name}::{vn}({bindings}) => {{ __w.begin_map(); \
+                             __w.key(\"{vn}\"); __w.begin_seq(); {json} __w.end_seq(); \
+                             __w.end_map(); }},"
                         ));
                     }
                 }
             }
-            format!("match self {{ {arms} }}")
+            (format!("match self {{ {arms} }}"), format!("match self {{ {json_arms} }}"))
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+         fn write_json(&self, __w: &mut ::serde::JsonWriter<'_>) {{ {json} }}\n\
          }}"
     )
     .parse()
     .unwrap()
+}
+
+/// `write_json` statements for one map entry: the key, then `expr`'s value.
+fn json_entry(key: &str, expr: &str) -> String {
+    format!("__w.key(\"{key}\"); ::serde::Serialize::write_json({expr}, __w);")
 }
 
 #[proc_macro_derive(Deserialize)]

@@ -1,5 +1,6 @@
-//! Offline stand-in for `serde_json`, rendering and parsing the [`Value`]
-//! tree of the workspace `serde` shim.
+//! Offline stand-in for `serde_json`: writes JSON through the workspace
+//! `serde` shim's streaming [`JsonWriter`] and parses it into its [`Value`]
+//! tree.
 //!
 //! The compact encoding is *canonical*: map entries keep declaration order,
 //! there is no whitespace, floats use Rust's shortest-roundtrip `{:?}`
@@ -7,13 +8,16 @@
 //! produce byte-identical JSON — the property the experiment engine's
 //! content-addressed cache keys on. Non-finite floats (which JSON cannot
 //! represent) are written as `null` and read back as NaN.
+//!
+//! [`to_writer`] and [`to_writer_pretty`] stream into any [`io::Write`]
+//! in 64 KiB writes, so memory use does not grow with the output.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::{fmt, io};
 
-pub use serde::Value;
+pub use serde::{JsonWriter, Value};
 
-/// Parse or render error with a byte offset for parse failures.
+/// Parse, conversion or write error; parse failures carry a byte offset.
 #[derive(Clone, Debug)]
 pub struct Error(String);
 
@@ -31,6 +35,12 @@ impl From<serde::Error> for Error {
     }
 }
 
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Error {
+        Error(e.to_string())
+    }
+}
+
 /// Lower any serializable value into a [`Value`] tree.
 pub fn to_value<T: Serialize>(value: &T) -> Value {
     value.to_value()
@@ -41,23 +51,48 @@ pub fn from_value<T: Deserialize>(v: &Value) -> Result<T, Error> {
     T::from_value(v).map_err(Error::from)
 }
 
+fn render<T: ?Sized + Serialize>(value: &T, pretty: bool) -> String {
+    let mut w = JsonWriter::new(pretty);
+    value.write_json(&mut w);
+    w.into_string()
+}
+
+fn stream<W: io::Write, T: ?Sized + Serialize>(
+    mut writer: W,
+    value: &T,
+    pretty: bool,
+) -> Result<(), Error> {
+    let mut w = JsonWriter::with_sink(&mut writer, pretty);
+    value.write_json(&mut w);
+    Ok(w.finish()?)
+}
+
 /// Canonical compact JSON (no whitespace, declaration-ordered maps).
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+pub fn to_string<T: ?Sized + Serialize>(value: &T) -> Result<String, Error> {
+    Ok(render(value, false))
 }
 
 /// Human-readable JSON with two-space indentation.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+pub fn to_string_pretty<T: ?Sized + Serialize>(value: &T) -> Result<String, Error> {
+    Ok(render(value, true))
 }
 
 /// Canonical compact JSON as bytes.
-pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>, Error> {
+pub fn to_vec<T: ?Sized + Serialize>(value: &T) -> Result<Vec<u8>, Error> {
     to_string(value).map(String::into_bytes)
+}
+
+/// Stream canonical compact JSON into `writer`. The writer is not flushed.
+pub fn to_writer<W: io::Write, T: ?Sized + Serialize>(writer: W, value: &T) -> Result<(), Error> {
+    stream(writer, value, false)
+}
+
+/// Stream two-space-indented JSON into `writer`. The writer is not flushed.
+pub fn to_writer_pretty<W: io::Write, T: ?Sized + Serialize>(
+    writer: W,
+    value: &T,
+) -> Result<(), Error> {
+    stream(writer, value, true)
 }
 
 /// Parse JSON text into any deserializable value.
@@ -76,84 +111,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid UTF-8: {e}")))?;
     from_str(s)
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                out.push_str(&format!("{x:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => write_block(out, indent, depth, '[', ']', items.len(), |out, i| {
-            write_value(&items[i], out, indent, depth + 1);
-        }),
-        Value::Map(entries) => {
-            write_block(out, indent, depth, '{', '}', entries.len(), |out, i| {
-                let (k, v) = &entries[i];
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(v, out, indent, depth + 1);
-            })
-        }
-    }
-}
-
-fn write_block(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    n: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if n == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..n {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
-        item(out, i);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-    out.push(close);
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -413,9 +370,121 @@ mod tests {
 
     #[test]
     fn nonfinite_floats_become_null() {
-        assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(to_string(&x).unwrap(), "null");
+            assert_eq!(to_string(&Value::Float(x)).unwrap(), "null");
+        }
+        assert_eq!(to_string(&f32::NAN).unwrap(), "null");
+        assert_eq!(to_string(&0.1f32).unwrap(), to_string(&(0.1f32 as f64)).unwrap());
         let back: f64 = from_str("null").unwrap();
         assert!(back.is_nan());
+    }
+
+    /// The streaming path and the value-tree path give the same text,
+    /// compact and pretty; returns the compact form.
+    fn both_paths<T: Serialize + ?Sized>(x: &T) -> String {
+        let compact = to_string(x).unwrap();
+        let pretty = to_string_pretty(x).unwrap();
+        for (text, is_pretty) in [(&compact, false), (&pretty, true)] {
+            let mut w = JsonWriter::new(is_pretty);
+            w.value(&x.to_value());
+            assert_eq!(text, &w.into_string());
+        }
+        compact
+    }
+
+    #[test]
+    fn empty_containers_stay_on_one_line_when_pretty() {
+        assert_eq!(to_string_pretty(&Vec::<u64>::new()).unwrap(), "[]");
+        assert_eq!(to_string_pretty(&Value::Map(Vec::new())).unwrap(), "{}");
+        assert_eq!(to_string_pretty(&vec![Vec::<u64>::new()]).unwrap(), "[\n  []\n]");
+        assert_eq!(
+            to_string_pretty(&Value::Map(vec![("a".into(), Value::Map(Vec::new()))])).unwrap(),
+            "{\n  \"a\": {}\n}"
+        );
+        both_paths(&vec![Vec::<u64>::new(), vec![1]]);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_indent_slice() {
+        // 50 levels indent the innermost item by 100 spaces, more than the
+        // writer's 64-space slice holds.
+        let mut v = Value::Int(7);
+        for _ in 0..50 {
+            v = Value::Seq(vec![v]);
+        }
+        let pretty = to_string_pretty(&v).unwrap();
+        for (depth, line) in pretty.lines().take(51).enumerate() {
+            assert_eq!(line.len() - line.trim_start().len(), 2 * depth, "line {depth}");
+        }
+        assert!(pretty.lines().any(|l| l == format!("{}7", " ".repeat(100))));
+        let back: WrapperDe = from_str(&pretty).unwrap();
+        assert_eq!(back.0, v);
+        both_paths(&v);
+    }
+
+    #[test]
+    fn integer_extremes_print_exactly() {
+        assert_eq!(both_paths(&u64::MAX), "18446744073709551615");
+        assert_eq!(both_paths(&i64::MIN), "-9223372036854775808");
+        assert_eq!(both_paths(&i8::MIN), "-128");
+        assert_eq!(both_paths(&0usize), "0");
+        let wide = u64::MAX as i128 + 1;
+        assert_eq!(both_paths(&Value::Int(wide)), "18446744073709551616");
+        assert_eq!(both_paths(&Value::Int(-wide)), "-18446744073709551616");
+        assert_eq!(both_paths(&Value::Int(i128::MIN)), i128::MIN.to_string());
+    }
+
+    #[test]
+    fn escapes_are_exact_and_non_ascii_passes_through() {
+        assert_eq!(both_paths("\u{1f}\"\\"), r#""\u001f\"\\""#);
+        assert_eq!(both_paths("a\nb\rc\td\u{0}"), r#""a\nb\rc\td\u0000""#);
+        assert_eq!(both_paths("é 😀 \u{7f}"), "\"é 😀 \u{7f}\"");
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        let back: String = from_str(&both_paths(&all_controls)).unwrap();
+        assert_eq!(back, all_controls);
+    }
+
+    #[test]
+    fn none_is_null() {
+        assert_eq!(both_paths(&None::<u64>), "null");
+        assert_eq!(both_paths(&Some(3u8)), "3");
+        assert_eq!(both_paths(&vec![Some(1.5f64), None]), "[1.5,null]");
+    }
+
+    /// A sink that accepts `room` bytes, then fails every write.
+    struct Failing {
+        room: usize,
+        writes: usize,
+    }
+
+    impl io::Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.room == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "reader went away"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sink_errors_are_returned_and_stop_output() {
+        let big: Vec<u64> = (0..100_000).collect();
+        let mut sink = Failing { room: 1000, writes: 0 };
+        let err = to_writer_pretty(&mut sink, &big).unwrap_err();
+        assert!(err.to_string().contains("reader went away"), "{err}");
+        // One short write, one failed write, then nothing more is tried.
+        assert_eq!(sink.writes, 2);
+        let mut out = Vec::new();
+        to_writer(&mut out, &big).unwrap();
+        assert_eq!(out, to_vec(&big).unwrap());
     }
 
     #[test]

@@ -26,6 +26,8 @@ use flov_core::mechanism;
 use flov_noc::network::Simulation;
 use flov_noc::{render, TopologySpec};
 use flov_workloads::{GatingSchedule, Pattern, PatternSpace, SyntheticWorkload};
+use serde::Serialize;
+use std::io::Write;
 
 const USAGE: &str = "\
 flov — FLOV reproduction experiment runner
@@ -101,6 +103,38 @@ global flags: [--quick] [--cache-dir DIR] [--no-cache] [--quiet]
               (FLOV_QUIET=1 also silences progress; non-TTY stderr gets
               plain per-5% progress lines instead of redraws)
 ";
+
+/// Write `value` as pretty JSON and a newline, then flush.
+fn write_pretty<W: Write, T: Serialize + ?Sized>(
+    mut w: W,
+    value: &T,
+) -> Result<(), serde_json::Error> {
+    serde_json::to_writer_pretty(&mut w, value)?;
+    w.write_all(b"\n")?;
+    Ok(w.flush()?)
+}
+
+/// Print `value` on stdout as pretty JSON. A closed or failing stdout ends
+/// the process with an error message and exit code 1, not a panic.
+fn print_json<T: Serialize + ?Sized>(value: &T) {
+    if let Err(e) = write_pretty(std::io::stdout().lock(), value) {
+        eprintln!("error: cannot write results: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Write a bench report to the file `out`, then print it on stdout.
+fn save_report<T: Serialize>(name: &str, out: &str, report: &T) {
+    let written = std::fs::File::create(out)
+        .map_err(serde_json::Error::from)
+        .and_then(|file| write_pretty(file, report));
+    if let Err(e) = written {
+        eprintln!("error: cannot write {out}: {e}");
+        std::process::exit(1);
+    }
+    print_json(report);
+    eprintln!("[flov] {name} report written to {out}");
+}
 
 fn usage() -> ! {
     eprint!("{USAGE}");
@@ -396,7 +430,7 @@ fn main() {
             };
             specs.iter().for_each(validate_or_die);
             let results: Vec<RunResult> = engine.run_batch(&specs);
-            println!("{}", serde_json::to_string_pretty(&results).expect("results serialize"));
+            print_json(&results);
         }
         "bench-kernel" => {
             let min_cps: Option<f64> =
@@ -408,13 +442,7 @@ fn main() {
             let out = flag_value(rest, "--out").unwrap_or_else(|| "BENCH_kernel.json".into());
             let report =
                 flov_bench::kernel_bench::run_bench(quick, min_cps, min_skip, min_parallel_speedup);
-            let json = serde_json::to_string_pretty(&report).expect("bench report serialization");
-            std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {out}: {e}");
-                std::process::exit(1);
-            });
-            println!("{json}");
-            eprintln!("[flov] bench-kernel report written to {out}");
+            save_report("bench-kernel", &out, &report);
         }
         "fuzz" => {
             if let Some(path) = flag_value(rest, "--replay") {
@@ -536,13 +564,7 @@ fn main() {
                 .map(|v| parse_or_die("--min-warm-probe-rate", &v));
             let out = flag_value(rest, "--out").unwrap_or_else(|| "BENCH_engine.json".into());
             let report = flov_bench::engine_bench::run_bench(quick, runs, min_warm_probe_rate);
-            let json = serde_json::to_string_pretty(&report).expect("bench report serialization");
-            std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {out}: {e}");
-                std::process::exit(1);
-            });
-            println!("{json}");
-            eprintln!("[flov] bench-engine report written to {out}");
+            save_report("bench-engine", &out, &report);
         }
         "help" | "--help" | "-h" => usage(),
         other => {
@@ -737,7 +759,7 @@ fn trace_record(rest: &[String]) {
         bytes.len()
     );
     if a.json {
-        println!("{}", serde_json::to_string_pretty(&audited.result).expect("result serializes"));
+        print_json(&audited.result);
     } else {
         println!("recorded {} run -> {out} (crc {crc:08x})", spec.mechanism);
     }
@@ -773,7 +795,7 @@ fn trace_replay(engine: &Engine, rest: &[String]) {
     validate_or_die(&spec);
     let r = engine.run_one(&spec);
     if json {
-        println!("{}", serde_json::to_string_pretty(&r).expect("result serializes"));
+        print_json(&r);
     } else {
         println!(
             "replayed {} ({} packets recorded): {} delivered, avg latency {:.2}, \
@@ -799,7 +821,7 @@ fn sim(engine: &Engine, rest: &[String]) {
     apply_kernel_flags(&a);
     let r = engine.run_one(&spec);
     if json {
-        println!("{}", serde_json::to_string_pretty(&r).expect("result serializes"));
+        print_json(&r);
     } else {
         println!("mechanism        {}", r.mechanism);
         println!("packets          {}", r.packets);

@@ -1,10 +1,14 @@
 //! The sharded binary cache: format round-trips, index correctness,
 //! corruption quarantine, GC eviction order, format-version misses, and
-//! work-stealing determinism.
+//! work-stealing determinism; plus the canonical JSON its keys hash.
 
 use flov_bench::cache::QUARANTINE_DIR;
+use flov_bench::fuzz::sample_spec;
 use flov_bench::{binfmt, Engine, GcOptions, ResultCache, RunResult, RunSpec, KERNEL_VERSION};
+use flov_noc::rng::Rng;
 use proptest::prelude::*;
+use serde::Serialize;
+use serde_json::JsonWriter;
 use std::fs::{self, FileTimes};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,6 +48,21 @@ fn binary_engine(dir: &Path) -> Engine {
     Engine::with_cache(ResultCache::new(dir)).quiet()
 }
 
+/// `to_string` and `to_string_pretty`, which stream through `write_json`,
+/// give exactly the text of writing the `to_value` tree.
+fn lowerings_agree<T: Serialize>(x: &T) {
+    for pretty in [false, true] {
+        let streamed = if pretty {
+            serde_json::to_string_pretty(x).unwrap()
+        } else {
+            serde_json::to_string(x).unwrap()
+        };
+        let mut w = JsonWriter::new(pretty);
+        w.value(&x.to_value());
+        assert_eq!(streamed, w.into_string(), "pretty: {pretty}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
@@ -78,6 +97,50 @@ proptest! {
         // ...and a salt mismatch is a plain miss, not an error.
         prop_assert!(binfmt::decode_result(&bytes, &key, KERNEL_VERSION + 1).unwrap().is_none());
     }
+
+    /// The derive's streaming `write_json` and its `to_value` lowering
+    /// agree on simulated results (with a timeline) and on specs of every
+    /// workload kind; `sample_spec` draws the topologies, the hand-written
+    /// `NocConfig` impl, hotspot patterns and mechanism switches.
+    #[test]
+    fn json_writer_matches_value_tree_lowering(
+        fraction in 0.0f64..0.8,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut spec = tiny_spec(fraction, seed);
+        spec.timeline_width = 100;
+        let spec = spec.resolved();
+        lowerings_agree(&flov_bench::run(&spec));
+        lowerings_agree(&spec);
+        lowerings_agree(&sample_spec(&mut Rng::new(seed), 20_000));
+        lowerings_agree(&RunSpec::parsec("RP", "canneal", seed));
+        lowerings_agree(&RunSpec::builder().trace("t.flovtrace", seed as u32, true).build());
+    }
+}
+
+/// Every cache key hashes a spec's canonical JSON, so formatter drift would
+/// silently orphan every existing entry. Pin one spec's JSON and its key
+/// (under salt 3, the kernel version these literals were taken at).
+#[test]
+fn canonical_spec_json_and_cache_key_are_pinned() {
+    let json = serde_json::to_string(&tiny_spec(0.25, 7).resolved()).unwrap();
+    let pinned = concat!(
+        r#"{"cfg":{"k":4,"vnets":3,"regular_vcs":3,"escape_vcs":1,"buf_depth":6"#,
+        r#","pipeline_stages":3,"link_latency":1,"wakeup_latency":10,"idle_threshold":16"#,
+        r#","escape_timeout":128,"synth_packet_len":4,"clock_hz":2000000000.0"#,
+        r#","nic_queue_warn":4096,"enable_ring":false,"seed":4044353807"#,
+        r#","watchdog_cycles":50000},"mechanism":"gFLOV""#,
+        r#","workload":{"Synthetic":{"pattern":"UniformRandom","rate":0.02"#,
+        r#","gated_fraction":0.25,"seed":7,"changes":[]}},"warmup":200,"cycles":1500"#,
+        r#","drain":8000,"timeline_width":0,"power_params":{"e_buffer_write":4.8e-12"#,
+        r#","e_buffer_read":3.4e-12,"e_xbar":6.6e-12,"e_arbiter":3e-13,"e_link":2.6e-12"#,
+        r#","e_flov_latch":9e-13,"e_ring_hop":3.5e-12,"p_ring_node_leak":0.00035"#,
+        r#","e_credit":5e-14,"e_handshake":5e-14,"e_gating_event":1.77e-11"#,
+        r#","p_router_leak":0.0131,"p_latch_leak":0.0004,"p_hsc_leak":5e-5"#,
+        r#","p_link_leak":0.0011,"clock_hz":2000000000.0},"audit":false,"mech_switches":[]}"#,
+    );
+    assert_eq!(json, pinned);
+    assert_eq!(ResultCache::key(&json, 3), "2742126d028acba6cabeeba106caeda2");
 }
 
 #[test]
